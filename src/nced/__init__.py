@@ -1,7 +1,6 @@
 """Biquaternion numerics for residual Lorentz symmetry of noncommutative
 electrodynamics: constitutive relations, stabilizer groups, duality scans."""
 
-from ._backend import BACKEND, USE_NUMBA
 from .algebra import (
     conj_complex,
     conj_components,
@@ -40,3 +39,6 @@ from .noncomm import KInvariants, ThetaVectors, classify, invariants, k_from_vec
 from .smallgroup import SmallGroupDescriptor, canonical_form, describe, element, stabilizes
 
 __version__ = "0.1.0"
+
+# the one kernel implementation: batch-first numpy
+BACKEND = "numpy"

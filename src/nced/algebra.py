@@ -1,22 +1,27 @@
 """Biquaternion (complex quaternion) arithmetic.
 
-A biquaternion is stored as a length-4 complex128 array ``[s, x, y, z]``:
-scalar part ``s`` and vector part ``(x, y, z)``.  The basis satisfies
+A biquaternion is stored as a complex128 array ``[s, x, y, z]``: scalar part
+``s`` and vector part ``(x, y, z)``.  The basis satisfies
 ``e_a e_b = -delta_ab e0 + eps_abc e_c`` with ``eps_123 = +1``, and all dot /
 cross products are complex-bilinear (no conjugation).
+
+Every kernel is batch-first: components live on the last axis and any
+leading axes broadcast, so ``mul`` of a ``(n, 4)`` batch and a ``(4,)``
+element is ``n`` products in one call.  A batch gives the same bits as the
+same rows taken one at a time (see ``_cmul``).
 """
 
 import numpy as np
 
-from ._backend import jit
-
 
 def quat(s=0.0, v=None):
-    """Build a biquaternion from a scalar and an optional 3-vector."""
-    q = np.zeros(4, np.complex128)
-    q[0] = s
+    """Build a biquaternion (or a batch) from a scalar and an optional 3-vector."""
+    s = np.asarray(s, np.complex128)
+    shape = s.shape if v is None else np.broadcast_shapes(s.shape, np.shape(v)[:-1])
+    q = np.zeros(shape + (4,), np.complex128)
+    q[..., 0] = s
     if v is not None:
-        q[1:] = v
+        q[..., 1:] = v
     return q
 
 
@@ -39,82 +44,95 @@ E2 = quat(0.0, (0.0, 1.0, 0.0))
 E3 = quat(0.0, (0.0, 0.0, 1.0))
 
 
-@jit
+def _cmul(a, b):
+    """Complex product, the same bits for a batch as for its rows one by one.
+
+    One row's components are numpy scalars, whose product is formed as
+    ``ar*br - ai*bi`` with two roundings.  numpy's complex *array* multiply
+    may fuse that into one FMA and round differently, so array operands are
+    multiplied out in real arithmetic instead.
+    """
+    if not (isinstance(a, np.ndarray) or isinstance(b, np.ndarray)):
+        return a * b
+    re = a.real * b.real - a.imag * b.imag
+    im = a.real * b.imag + a.imag * b.real
+    out = np.empty(np.shape(re), np.complex128)
+    out.real = re
+    out.imag = im
+    return out
+
+
+def _components(q):
+    """The components along the last axis: numpy scalars for one element,
+    arrays over the leading axes for a batch."""
+    q = np.asarray(q, np.complex128)
+    return tuple(q.transpose(-1, *range(q.ndim - 1)))
+
+
+def _stack(*components):
+    """Inverse of ``_components``."""
+    out = np.empty(np.shape(components[0]) + (len(components),), np.complex128)
+    for i, c in enumerate(components):
+        out[..., i] = c
+    return out
+
+
 def cdot(a, b):
     """Complex-bilinear dot product of 3-vectors."""
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+    a0, a1, a2 = _components(a)
+    b0, b1, b2 = _components(b)
+    return _cmul(a0, b0) + _cmul(a1, b1) + _cmul(a2, b2)
 
 
-@jit
 def ccross(a, b):
     """Complex-bilinear cross product of 3-vectors."""
-    out = np.empty(3, np.complex128)
-    out[0] = a[1] * b[2] - a[2] * b[1]
-    out[1] = a[2] * b[0] - a[0] * b[2]
-    out[2] = a[0] * b[1] - a[1] * b[0]
-    return out
+    a0, a1, a2 = _components(a)
+    b0, b1, b2 = _components(b)
+    return _stack(
+        _cmul(a1, b2) - _cmul(a2, b1),
+        _cmul(a2, b0) - _cmul(a0, b2),
+        _cmul(a0, b1) - _cmul(a1, b0),
+    )
 
 
-@jit
 def mul(q, p):
     """Biquaternion product: (q0 p0 - q.p) e0 + (q0 p + p0 q + q x p)."""
-    out = np.empty(4, np.complex128)
-    out[0] = q[0] * p[0] - (q[1] * p[1] + q[2] * p[2] + q[3] * p[3])
-    out[1] = q[0] * p[1] + p[0] * q[1] + (q[2] * p[3] - q[3] * p[2])
-    out[2] = q[0] * p[2] + p[0] * q[2] + (q[3] * p[1] - q[1] * p[3])
-    out[3] = q[0] * p[3] + p[0] * q[3] + (q[1] * p[2] - q[2] * p[1])
-    return out
+    q0, q1, q2, q3 = _components(q)
+    p0, p1, p2, p3 = _components(p)
+    return _stack(
+        _cmul(q0, p0) - (_cmul(q1, p1) + _cmul(q2, p2) + _cmul(q3, p3)),
+        _cmul(q0, p1) + _cmul(p0, q1) + (_cmul(q2, p3) - _cmul(q3, p2)),
+        _cmul(q0, p2) + _cmul(p0, q2) + (_cmul(q3, p1) - _cmul(q1, p3)),
+        _cmul(q0, p3) + _cmul(p0, q3) + (_cmul(q1, p2) - _cmul(q2, p1)),
+    )
 
 
-@jit
 def conj_quat(q):
     """Quaternion conjugation: scalar kept, vector negated.  (qp)bar = pbar qbar."""
-    out = np.empty(4, np.complex128)
-    out[0] = q[0]
-    out[1] = -q[1]
-    out[2] = -q[2]
-    out[3] = -q[3]
-    return out
+    q = np.asarray(q, np.complex128)
+    return np.concatenate([q[..., :1], -q[..., 1:]], axis=-1)
 
 
-@jit
 def conj_complex(q):
     """Complex conjugation: every component conjugated and the vector negated."""
-    out = np.empty(4, np.complex128)
-    out[0] = q[0].conjugate()
-    out[1] = -q[1].conjugate()
-    out[2] = -q[2].conjugate()
-    out[3] = -q[3].conjugate()
-    return out
+    return conj_quat(conj_components(q))
 
 
-@jit
 def conj_components(q):
     """Componentwise complex conjugation without vector negation.
 
     Equals conj_quat(conj_complex(q)); a ring automorphism, unlike the two
     conjugations above.
     """
-    out = np.empty(4, np.complex128)
-    out[0] = q[0].conjugate()
-    out[1] = q[1].conjugate()
-    out[2] = q[2].conjugate()
-    out[3] = q[3].conjugate()
-    return out
+    return np.conj(np.asarray(q, np.complex128))
 
 
-@jit
 def norm(q):
     """Bilinear square q qbar = q0^2 + q.q (a complex number, not a length)."""
-    return q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3]
+    q0, q1, q2, q3 = _components(q)
+    return _cmul(q0, q0) + _cmul(q1, q1) + _cmul(q2, q2) + _cmul(q3, q3)
 
 
-@jit
 def sym_scalar(a, b):
     """Scalar part of the product of two pure-vector biquaternions: -(a.b)."""
-    return -(a[0] * b[0] + a[1] * b[1] + a[2] * b[2])
-
-
-def max_abs(q):
-    """Largest component magnitude; convergence/defect metric for tests."""
-    return float(np.max(np.abs(q)))
+    return -cdot(a, b)

@@ -6,7 +6,8 @@ Input file (YAML): either a 4x4 ``theta_matrix`` or a pair of 3-vectors
 ``epsilon`` / ``theta`` (mutually exclusive).
 
 Exit codes: 0 all checks pass (or the zero-input note), 1 a physics check
-failed, 2 malformed input.
+failed, 2 malformed input (including non-finite or boolean entries, and
+``--trials`` or ``--scan-n`` above ``MAX_COUNT``).
 """
 
 import argparse
@@ -28,6 +29,12 @@ from .algebra import mul, norm
 from .errors import InputFormatError, NcedError, NotAntisymmetricError
 from .tolerances import DEFAULT as TOL
 
+# the trial and scan checks allocate arrays proportional to these counts
+MAX_COUNT = 100_000
+
+# libyaml's emitter writes the same bytes as the pure-Python one, faster
+_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
 
 @dataclass
 class AnalysisConfig:
@@ -40,10 +47,10 @@ class AnalysisConfig:
     classify_tol: float = TOL.classify
 
     def validate(self):
-        if self.scan_n < 8:
-            raise InputFormatError("scan resolution must be at least 8")
-        if self.trials < 1:
-            raise InputFormatError("trial count must be at least 1")
+        if not 8 <= self.scan_n <= MAX_COUNT:
+            raise InputFormatError(f"scan resolution must lie in [8, {MAX_COUNT}]")
+        if not 1 <= self.trials <= MAX_COUNT:
+            raise InputFormatError(f"trial count must lie in [1, {MAX_COUNT}]")
         if not 0.0 < self.classify_tol <= 1e-3:
             raise InputFormatError("classification tolerance must lie in (0, 1e-3]")
 
@@ -71,6 +78,26 @@ def _mat(m):
 # ---------------------------------------------------------------------------
 # input parsing
 
+def _has_bool(x):
+    return isinstance(x, bool) or (
+        isinstance(x, list) and any(_has_bool(y) for y in x))
+
+
+def _numeric(doc, key, shape):
+    """``doc[key]`` as a finite float array of the given shape."""
+    if _has_bool(doc[key]):
+        raise InputFormatError(f"{key} holds a boolean, not a number")
+    try:
+        a = np.asarray(doc[key], float)
+    except (TypeError, ValueError) as exc:
+        raise InputFormatError(f"{key} is not numeric: {exc}") from exc
+    if a.shape != shape:
+        raise InputFormatError(f"{key} must have shape {shape}, not {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise InputFormatError(f"{key} holds a non-finite entry")
+    return a
+
+
 def load_input(path):
     try:
         with open(path) as fh:
@@ -86,23 +113,10 @@ def load_input(path):
     if has_matrix and has_vectors:
         raise InputFormatError("give either theta_matrix or epsilon/theta, not both")
     if has_matrix:
-        try:
-            t = np.asarray(doc["theta_matrix"], float)
-        except (TypeError, ValueError) as exc:
-            raise InputFormatError(f"theta_matrix is not numeric: {exc}") from exc
-        if t.shape != (4, 4):
-            raise InputFormatError("theta_matrix must be 4x4")
-        return nc.vectors_from_tensor(t)
+        return nc.vectors_from_tensor(_numeric(doc, "theta_matrix", (4, 4)))
     if "epsilon" not in doc or "theta" not in doc:
         raise InputFormatError("need both epsilon and theta 3-vectors")
-    try:
-        eps = np.asarray(doc["epsilon"], float)
-        th = np.asarray(doc["theta"], float)
-    except (TypeError, ValueError) as exc:
-        raise InputFormatError(f"vectors are not numeric: {exc}") from exc
-    if eps.shape != (3,) or th.shape != (3,):
-        raise InputFormatError("epsilon and theta must be 3-vectors")
-    return nc.ThetaVectors(eps, th)
+    return nc.ThetaVectors(_numeric(doc, "epsilon", (3,)), _numeric(doc, "theta", (3,)))
 
 
 # ---------------------------------------------------------------------------
@@ -120,23 +134,30 @@ def _rand_unit_element(rng):
                 return q
 
 
+def _running_max(acc, values):
+    """``acc = max(acc, v)`` over the values, as a Python float; like that
+    loop it skips NaN values."""
+    return float(np.fmax.reduce(np.ravel(values), initial=acc))
+
+
 def _sample_parameters(kind):
     if kind == nc.NONISOTROPIC:
         return [("chi", 0.5 + 0.0j), ("chi", 0.5j), ("chi", 0.5 + 0.5j)]
     return [("w", 1.0 + 0.0j), ("w", 1.0j)]
 
 
-def _element_for(d, name, value, sign=1):
-    if name == "chi":
+def _element_for(d, value, sign=1):
+    if d.kind == nc.NONISOTROPIC:
         return sg.element(d, chi=value)
     return sg.element(d, w=value, sign=sign)
 
 
 def _random_parameter(d, rng):
+    """One trial parameter and sign; the draws fix the RNG stream."""
     z = complex(rng.uniform(-1.4, 1.4), rng.uniform(-1.4, 1.4))
     if d.kind == nc.NONISOTROPIC:
-        return ("chi", z, 1)
-    return ("w", z, int(rng.choice([-1, 1])))
+        return z, 1
+    return z, (-1, 1)[rng.integers(0, 2)]
 
 
 def _small_group_section(d, k, cfg, rng, scale):
@@ -144,8 +165,8 @@ def _small_group_section(d, k, cfg, rng, scale):
     samples = []
     max_stab = 0.0
     for name, value in _sample_parameters(d.kind):
-        L = _element_for(d, name, value)
-        resid = sg.stabilizes(L, k)
+        L = _element_for(d, value)
+        resid = float(sg.stabilizes(L, k))
         max_stab = max(max_stab, resid)
         samples.append({
             "parameter": {name: _c(value)},
@@ -153,30 +174,36 @@ def _small_group_section(d, k, cfg, rng, scale):
             "stabilizer_residual": resid,
         })
 
-    group_law = 0.0
-    abelian = 0.0
-    for _ in range(cfg.trials):
-        n1, v1, s1 = _random_parameter(d, rng)
-        n2, v2, s2 = _random_parameter(d, rng)
-        e1 = _element_for(d, n1, v1, s1)
-        e2 = _element_for(d, n2, v2, s2)
-        max_stab = max(max_stab, sg.stabilizes(e1, k))
-        if d.kind == nc.NONISOTROPIC:
-            group_law = max(group_law, sg.group_law_check(d, v1, v2))
-        else:
-            group_law = max(group_law, sg.group_law_check(d, (v1, s1), (v2, s2)))
-        abelian = max(abelian, float(np.max(np.abs(mul(e1, e2) - mul(e2, e1)))))
+    # the trials are drawn one by one, in the order that fixes the RNG
+    # stream, and then checked as one batch
+    n = cfg.trials
+    w = np.empty((n, 2), np.complex128)
+    sign = np.empty((n, 2), np.int64)
+    for i in range(n):
+        w[i, 0], sign[i, 0] = _random_parameter(d, rng)
+        w[i, 1], sign[i, 1] = _random_parameter(d, rng)
+    e1 = _element_for(d, w[:, 0], sign[:, 0])
+    e2 = _element_for(d, w[:, 1], sign[:, 1])
+    max_stab = _running_max(max_stab, sg.stabilizes(e1, k))
+    if d.kind == nc.NONISOTROPIC:
+        law = sg.group_law_check(d, w[:, 0], w[:, 1])
+    else:
+        law = sg.group_law_check(d, (w[:, 0], sign[:, 0]), (w[:, 1], sign[:, 1]))
+    group_law = _running_max(0.0, law)
+    abelian = _running_max(0.0, np.max(np.abs(mul(e1, e2) - mul(e2, e1)), axis=-1))
 
-    invariance = 0.0
-    for _ in range(cfg.trials):
-        name, value, sign = _random_parameter(d, rng)
-        L = _element_for(d, name, value, sign)
-        E, B = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
-        invariance = max(invariance, sg.verify_constitutive_invariance(k, L, E, B))
+    w = np.empty(n, np.complex128)
+    sign = np.empty(n, np.int64)
+    E, B = np.empty((n, 3)), np.empty((n, 3))
+    for i in range(n):
+        w[i], sign[i] = _random_parameter(d, rng)
+        E[i], B[i] = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
+    L = _element_for(d, w, sign)
+    invariance = _running_max(0.0, sg.verify_constitutive_invariance(k, L, E, B))
 
     # a rotation about a generic fixed axis must fail to stabilize
     nonmember = max(
-        sg.stabilizes(lorentz.rotation(axis, 0.5), k)
+        float(sg.stabilizes(lorentz.rotation(axis, 0.5), k))
         for axis in ((1.0, 0, 0), (0, 1.0, 0), (0, 0, 1.0))
     )
 
@@ -206,11 +233,13 @@ def _small_group_section(d, k, cfg, rng, scale):
 
 def _covariance_check(k, cfg, rng, scale):
     tv = nc.vectors_from_k(k)
-    worst = 0.0
-    for _ in range(cfg.trials):
-        L = _rand_unit_element(rng)
-        E, B = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
-        worst = max(worst, ct.covariant_transport_check(E, B, tv, L))
+    n = cfg.trials
+    L = np.empty((n, 4), np.complex128)
+    E, B = np.empty((n, 3)), np.empty((n, 3))
+    for i in range(n):
+        L[i] = _rand_unit_element(rng)
+        E[i], B[i] = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
+    worst = _running_max(0.0, ct.covariant_transport_check(E, B, tv, L))
     return worst, worst <= 1e-11 * scale ** 2
 
 
@@ -359,7 +388,7 @@ def run_analysis(cfg):
     report["status"] = "pass" if ok else "fail"
 
     with open(cfg.report_path, "w") as fh:
-        yaml.safe_dump(report, fh, sort_keys=False)
+        yaml.dump(report, fh, Dumper=_DUMPER, sort_keys=False)
     if cfg.csv_path:
         with open(cfg.csv_path, "w") as fh:
             fh.write("chi,residual\n")

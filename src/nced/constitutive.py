@@ -20,8 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import lorentz
-from ._backend import jit
-from .algebra import cdot
+from .algebra import _cmul, cdot
 
 
 class FieldState(NamedTuple):
@@ -78,27 +77,28 @@ def inverse(D, H, v):
     return FieldState(E, B)
 
 
-@jit
 def h_from_f(f, k):
-    """Quaternionic forward map."""
+    """Quaternionic forward map; ``f[..., 3]`` and ``k[..., 3]`` broadcast."""
+    # scalar on the left: numpy's FMA multiply rounds s * v and v * s
+    # differently, and one row alone forms s * v
     s_fk = cdot(f, k).conjugate()
     s_ff = cdot(f, f).conjugate()
-    return f - s_fk * f - 0.5 * s_ff * k
+    return f - s_fk[..., None] * f - _cmul(0.5, s_ff)[..., None] * k
 
 
-@jit
 def f_from_h(h, k):
-    """Quaternionic first-order inverse map."""
+    """Quaternionic first-order inverse map; batch-first like ``h_from_f``."""
     s_hk = cdot(h, k).conjugate()
     s_hh = cdot(h, h).conjugate()
-    return h + s_hk * h + 0.5 * s_hh * k
+    return h + s_hk[..., None] * h + _cmul(0.5, s_hh)[..., None] * k
 
 
 def covariant_transport_check(E, B, v, L):
     """Residual of the forward map when fields AND medium co-transform.
 
     Zero (to rounding) for every Lorentz element: the quaternionic form is
-    built from invariant dot products.
+    built from invariant dot products.  ``E``, ``B`` and ``L`` may be
+    batches; one residual per row.
     """
     from .noncomm import k_from_vectors
 
@@ -108,4 +108,4 @@ def covariant_transport_check(E, B, v, L):
     fp = lorentz.act_vector(L, f)
     kp = lorentz.act_vector(L, k)
     hp = lorentz.act_vector(L, h)
-    return float(np.max(np.abs(h_from_f(fp, kp) - hp)))
+    return np.max(np.abs(h_from_f(fp, kp) - hp), axis=-1)

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._backend import jit
+from .algebra import _cmul, cdot
 from .errors import InconsistentInputError
 from .tolerances import DEFAULT as TOL
 
@@ -46,44 +46,28 @@ def dual_rotate(s, k, chi):
     return GRState(ph * s.G, s.R / ph), ph * np.asarray(k, np.complex128)
 
 
-@jit
 def _gr_residual(G, R, K):
-    d1 = 0.0
-    d2 = 0.0
-    f0, f1, f2 = 0.5 * (G[0] + R[0]), 0.5 * (G[1] + R[1]), 0.5 * (G[2] + R[2])
-    h0, h1, h2 = 0.5 * (G[0] - R[0]), 0.5 * (G[1] - R[1]), 0.5 * (G[2] - R[2])
-    s_fk = (f0 * K[0] + f1 * K[1] + f2 * K[2]).conjugate()
-    s_ff = (f0 * f0 + f1 * f1 + f2 * f2).conjugate()
-    s_hk = (h0 * K[0] + h1 * K[1] + h2 * K[2]).conjugate()
-    s_hh = (h0 * h0 + h1 * h1 + h2 * h2).conjugate()
-    fs = (f0, f1, f2)
-    hs = (h0, h1, h2)
-    for j in range(3):
-        fwd = hs[j] - fs[j] + s_fk * fs[j] + 0.5 * s_ff * K[j]
-        inv = fs[j] - hs[j] - s_hk * hs[j] - 0.5 * s_hh * K[j]
-        m = abs(fwd)
-        if m > d2:
-            d2 = m
-        m = abs(inv)
-        if m > d1:
-            d1 = m
-    return d1 if d1 < d2 else d2
-
-
-@jit
-def _scan_kernel(G, R, K, chis):
-    out = np.empty(chis.shape[0], np.float64)
-    for i in range(chis.shape[0]):
-        ph = np.exp(1j * chis[i])
-        out[i] = _gr_residual(ph * G, R / ph, ph * K)
-    return out
+    """Best-orientation defect per row of ``G[..., 3]``, ``R[..., 3]``, ``K[..., 3]``."""
+    f = _cmul(0.5, G + R)
+    h = _cmul(0.5, G - R)
+    s_fk = cdot(f, K).conjugate()[..., None]
+    s_ff = _cmul(0.5, cdot(f, f).conjugate())[..., None]
+    s_hk = cdot(h, K).conjugate()[..., None]
+    s_hh = _cmul(0.5, cdot(h, h).conjugate())[..., None]
+    fwd = h - f + _cmul(s_fk, f) + _cmul(s_ff, K)
+    inv = f - h - _cmul(s_hk, h) - _cmul(s_hh, K)
+    # hypot is abs() of a complex scalar bit for bit; fmax from 0.0 skips NaN
+    # components the way a running "if m > d: d = m" does
+    d2 = np.fmax.reduce(np.hypot(fwd.real, fwd.imag), axis=-1, initial=0.0)
+    d1 = np.fmax.reduce(np.hypot(inv.real, inv.imag), axis=-1, initial=0.0)
+    return np.where(d1 < d2, d1, d2)[()]
 
 
 def constitutive_residual_gr(s, k):
     """Max-component defect of the constitutive pair in (G, R, K) variables,
     measured against its best-matching orientation."""
-    k = np.asarray(k, np.complex128)
-    return float(_gr_residual(np.ascontiguousarray(s.G), np.ascontiguousarray(s.R), k))
+    G, R = np.asarray(s.G, np.complex128), np.asarray(s.R, np.complex128)
+    return float(_gr_residual(G, R, np.asarray(k, np.complex128)))
 
 
 def duality_scan(s, k, n):
@@ -102,5 +86,7 @@ def duality_scan(s, k, n):
             f"state violates the constitutive pair before rotation (residual {pre:.3e})"
         )
     chis = 2.0 * np.pi * np.arange(n) / n
-    res = _scan_kernel(np.ascontiguousarray(s.G), np.ascontiguousarray(s.R), k, chis)
+    ph = np.exp(1j * chis)[:, None]
+    G, R = np.asarray(s.G, np.complex128), np.asarray(s.R, np.complex128)
+    res = _gr_residual(ph * G, R / ph, ph * k)
     return list(zip(chis.tolist(), res.tolist()))

@@ -21,7 +21,6 @@ Convention notes (fixed here once, used consistently everywhere):
 import numpy as np
 
 from . import algebra as alg
-from ._backend import jit
 from .errors import DegenerateError, NotUnitError
 from .tolerances import DEFAULT as TOL
 
@@ -33,8 +32,8 @@ def identity():
 
 
 def abs2(q):
-    """Sum of squared component magnitudes (Hermitian size, a float)."""
-    return float(np.sum(np.abs(q) ** 2))
+    """Sum of squared component magnitudes (Hermitian size) along the last axis."""
+    return np.sum(np.abs(q) ** 2, axis=-1)
 
 
 def make_element(k0, k):
@@ -79,19 +78,27 @@ def inverse(L):
 def act_vector(L, v):
     """Transform a complex 3-vector; the SO(3,C) action of the element.
 
-    The scalar part of the sandwich must cancel; a leak signals a corrupted
-    element and raises DegenerateError.
+    ``L[..., 4]`` and ``v[..., 3]`` broadcast.  The scalar part of each
+    sandwich must cancel; a leak signals a corrupted element and raises
+    DegenerateError naming the worst row.
     """
     v = np.asarray(v, np.complex128)
     n = alg.conj_components(L)
     r = alg.mul(alg.mul(n, alg.from_vector(v)), alg.conj_quat(n))
-    scale = max(1.0, abs2(n) * float(np.max(np.abs(v), initial=0.0)))
-    if abs(r[0]) > TOL.scalar_leak * scale:
-        raise DegenerateError(f"scalar leak {abs(r[0]):.3e} in vector transform")
-    return r[1:4]
+    # fmax(1.0, x) is max(1.0, x) per row, NaN included; hypot is abs() of a
+    # complex scalar bit for bit, which np.abs of a complex array is not
+    scale = np.fmax(1.0, abs2(n) * np.max(np.abs(v), axis=-1, initial=0.0))
+    leak = np.hypot(r[..., 0].real, r[..., 0].imag)
+    bad = leak > TOL.scalar_leak * scale
+    if np.any(bad):
+        rows = np.flatnonzero(bad)
+        worst = rows[np.argmax(np.ravel(leak / scale)[rows])]
+        where = f" (row {worst} of {bad.size})" if bad.ndim else ""
+        raise DegenerateError(
+            f"scalar leak {np.ravel(leak)[worst]:.3e} in vector transform{where}")
+    return r[..., 1:4]
 
 
-@jit
 def so3c_entries(q):
     """Complex orthogonal 3x3 matrix of the two-to-one map from a unit
     biquaternion q = (k0, k1, k2, k3); it fixes q's own vector part."""

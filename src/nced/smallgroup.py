@@ -43,7 +43,7 @@ def describe(k, tol=TOL.classify):
 
 
 def element(d, chi=None, w=None, sign=1):
-    """One stabilizer element.
+    """One stabilizer element, or a batch ``[..., 4]`` for array parameters.
 
     Nonisotropic descriptors take a complex angle ``chi``; isotropic ones a
     complex displacement ``w`` and an overall ``sign`` of +-1.
@@ -51,48 +51,55 @@ def element(d, chi=None, w=None, sign=1):
     if d.kind == noncomm.NONISOTROPIC:
         if chi is None or w is not None:
             raise KindMismatchError("nonisotropic small group is parametrized by chi")
-        chi = complex(chi)
-        return quat(np.cos(chi), np.sin(chi) * d.phi_hat)
+        chi = np.asarray(chi, np.complex128)
+        return quat(np.cos(chi), np.sin(chi)[..., None] * d.phi_hat)
     if chi is not None or w is None:
         raise KindMismatchError("isotropic small group is parametrized by w (and sign)")
-    if sign not in (1, -1):
+    sign = np.asarray(sign)
+    if not np.all((sign == 1) | (sign == -1)):
         raise KindMismatchError("sign must be +1 or -1")
-    return sign * quat(1.0, complex(w) * d.phi)
+    w = np.asarray(w, np.complex128)
+    return sign[..., None] * quat(1.0, w[..., None] * d.phi)
 
 
 def stabilizes(L, k):
-    """Max-component residual of the transported K against K itself."""
+    """Max-component residual of the transported K against K itself, per row
+    of ``L[..., 4]``."""
     k = np.asarray(k, np.complex128)
-    return float(np.max(np.abs(lorentz.act_vector(L, k) - k)))
+    return np.max(np.abs(lorentz.act_vector(L, k) - k), axis=-1)
 
 
 def group_law_check(d, p1, p2):
-    """Defect of the additive parameter law under actual composition."""
+    """Defect of the additive parameter law under actual composition, per
+    pair of (arrays of) parameters."""
     if d.kind == noncomm.NONISOTROPIC:
+        p1, p2 = np.asarray(p1, np.complex128), np.asarray(p2, np.complex128)
         e1 = element(d, chi=p1)
         e2 = element(d, chi=p2)
-        target = element(d, chi=complex(p1) + complex(p2))
+        target = element(d, chi=p1 + p2)
     else:
         w1, s1 = p1 if isinstance(p1, tuple) else (p1, 1)
         w2, s2 = p2 if isinstance(p2, tuple) else (p2, 1)
+        w1, w2 = np.asarray(w1, np.complex128), np.asarray(w2, np.complex128)
         e1 = element(d, w=w1, sign=s1)
         e2 = element(d, w=w2, sign=s2)
-        target = element(d, w=complex(w1) + complex(w2), sign=s1 * s2)
-    return float(np.max(np.abs(mul(e1, e2) - target)))
+        target = element(d, w=w1 + w2, sign=s1 * s2)
+    return np.max(np.abs(mul(e1, e2) - target), axis=-1)
 
 
 def verify_constitutive_invariance(k, L, E, B):
     """Residual of the constitutive map under L with the medium held fixed.
 
     Vanishes exactly when L stabilizes K; strictly positive for generic
-    fields otherwise.
+    fields otherwise.  ``L``, ``E`` and ``B`` may be batches; one residual
+    per row.
     """
     k = np.asarray(k, np.complex128)
     f = f_vector(E, B)
     h = h_from_f(f, k)
     fp = lorentz.act_vector(L, f)
     hp = lorentz.act_vector(L, h)
-    return float(np.max(np.abs(h_from_f(fp, k) - hp)))
+    return np.max(np.abs(h_from_f(fp, k) - hp), axis=-1)
 
 
 def _orthonormal_rows(r1, r2):

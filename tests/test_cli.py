@@ -4,10 +4,12 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 import yaml
 
-from nced.cli import AnalysisConfig, load_input, main, run_analysis
+from nced.cli import MAX_COUNT, AnalysisConfig, load_input, main, run_analysis
 from nced import noncomm as nc
+from nced.errors import InputFormatError
 
 
 def write_input(path, text):
@@ -144,3 +146,67 @@ def test_zero_k_reported_as_full_group(tmp_path, capsys):
     assert code == 0
     report = yaml.safe_load(rep.read_text())
     assert "full" in report["note"] and "Lorentz" in report["note"]
+
+
+NON_FINITE = [
+    "epsilon: [.nan, 0, 0]\ntheta: [0, 0, 1]\n",
+    "epsilon: [0, 0, 0]\ntheta: [0, -.inf, 1]\n",
+    "epsilon: [0, 0, 0]\ntheta: ['nan', 0, 1]\n",
+    "theta_matrix: [[0,0,0,0],[0,0,-.inf,0],[0,.inf,0,0],[0,0,0,0]]\n",
+    "theta_matrix: [[0,0,0,0],[0,0,.nan,0],[0,0,0,0],[0,0,0,0]]\n",
+]
+
+BOOLEAN = [
+    "epsilon: [true, 0, 0]\ntheta: [0, 1, 0]\n",
+    "epsilon: [0, 0, 0]\ntheta: [0, 0, false]\n",
+    "theta_matrix: [[0,0,0,0],[0,0,-1,0],[0,true,0,0],[0,0,0,0]]\n",
+]
+
+
+@pytest.mark.parametrize("text", NON_FINITE + BOOLEAN)
+def test_non_finite_or_boolean_input_exit_2(tmp_path, capsys, text):
+    code, rep = run(tmp_path, text)
+    assert code == 2
+    assert "input error" in capsys.readouterr().err
+    assert not rep.exists()
+
+
+def test_numeric_strings_still_accepted(tmp_path):
+    code, _ = run(tmp_path, "epsilon: ['0.5', 0, 0]\ntheta: [0, 0, 1]\n")
+    assert code == 0
+
+
+@pytest.mark.parametrize("field", ["trials", "scan_n"])
+def test_counts_capped(tmp_path, field):
+    cfg = AnalysisConfig("in.yaml", "out.yaml", **{field: MAX_COUNT})
+    cfg.validate()
+    setattr(cfg, field, MAX_COUNT + 1)
+    with pytest.raises(InputFormatError):
+        cfg.validate()
+    flag = field.replace("_", "-")
+    code, _ = run(tmp_path, "epsilon: [0, 0, 0]\ntheta: [0, 0, 1]\n", **{flag: MAX_COUNT + 1})
+    assert code == 2
+
+
+def test_sign_draw_keeps_rng_stream():
+    """The trial sign is drawn as ``(-1, 1)[rng.integers(0, 2)]``; it must
+    consume the stream exactly as ``rng.choice([-1, 1])`` did."""
+    old, new = np.random.default_rng(11), np.random.default_rng(11)
+    for _ in range(500):
+        assert old.uniform(-1.4, 1.4) == new.uniform(-1.4, 1.4)
+        assert int(old.choice([-1, 1])) == (-1, 1)[new.integers(0, 2)]
+    assert old.uniform() == new.uniform()
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeDumper"), reason="PyYAML built without libyaml")
+@pytest.mark.parametrize("text", [
+    "epsilon: [0.2, 0.0, 0.1]\ntheta: [0.0, 0.3, 1.0]\n",
+    "epsilon: [0.0, -1.0, 0.0]\ntheta: [1.0, 0.0, 0.0]\n",
+    "epsilon: [0, 0, 0]\ntheta: [0, 0, 0]\n",
+])
+def test_c_and_python_dumpers_write_the_same_bytes(tmp_path, text):
+    inp = write_input(tmp_path / "in.yaml", text)
+    report, _ = run_analysis(AnalysisConfig(inp, str(tmp_path / "r.yaml"), trials=20))
+    fast = yaml.dump(report, Dumper=yaml.CSafeDumper, sort_keys=False)
+    assert fast == yaml.dump(report, Dumper=yaml.SafeDumper, sort_keys=False)
+    assert fast == (tmp_path / "r.yaml").read_text()

@@ -1,0 +1,37 @@
+"""Reports and CSVs stay byte-identical, apart from ``generated_at``, to the
+golden files in ``tests/data/golden`` (see the README there)."""
+
+from pathlib import Path
+
+import pytest
+
+from nced.cli import main
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+FLAGS = {"default": [], "trials2000": ["--trials", "2000"]}
+
+
+def body(path):
+    return b"".join(line for line in path.read_bytes().splitlines(keepends=True)
+                    if not line.startswith(b"generated_at:"))
+
+
+@pytest.mark.parametrize("flags", sorted(FLAGS))
+@pytest.mark.parametrize("kind", ["nonisotropic", "isotropic", "zero"])
+def test_report_matches_golden(kind, flags, tmp_path, monkeypatch):
+    # the report echoes the input path, so run where the golden run ran
+    monkeypatch.chdir(GOLDEN)
+    report = tmp_path / "report.yaml"
+    code = main(["analyze", "--input", f"{kind}.yaml", "--report", str(report)] + FLAGS[flags])
+    assert code == 0
+    assert body(report) == (GOLDEN / f"{kind}.{flags}.report.yaml").read_bytes()
+
+
+def test_scan_csv_matches_golden(tmp_path, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
+    report, csv = tmp_path / "report.yaml", tmp_path / "scan.csv"
+    code = main(["analyze", "--input", "nonisotropic.yaml", "--report", str(report),
+                 "--csv", str(csv)])
+    assert code == 0
+    assert csv.read_bytes() == (GOLDEN / "nonisotropic.scan.csv").read_bytes()
+    assert body(report) == (GOLDEN / "nonisotropic.default.report.yaml").read_bytes()
