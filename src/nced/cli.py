@@ -6,8 +6,9 @@ Input file (YAML): either a 4x4 ``theta_matrix`` or a pair of 3-vectors
 ``epsilon`` / ``theta`` (mutually exclusive).
 
 Exit codes: 0 all checks pass (or the zero-input note), 1 a physics check
-failed, 2 malformed input (including non-finite or boolean entries, and
-``--trials`` or ``--scan-n`` above ``MAX_COUNT``).
+failed, 2 malformed input (including non-finite or boolean entries, an
+|K|^2 that overflows a float, ``--trials`` or ``--scan-n`` above
+``MAX_COUNT``, and unknown options).
 """
 
 import argparse
@@ -44,15 +45,12 @@ class AnalysisConfig:
     scan_n: int = 360
     trials: int = 100
     seed: int = 42
-    classify_tol: float = TOL.classify
 
     def validate(self):
         if not 8 <= self.scan_n <= MAX_COUNT:
             raise InputFormatError(f"scan resolution must lie in [8, {MAX_COUNT}]")
         if not 1 <= self.trials <= MAX_COUNT:
             raise InputFormatError(f"trial count must lie in [1, {MAX_COUNT}]")
-        if not 0.0 < self.classify_tol <= 1e-3:
-            raise InputFormatError("classification tolerance must lie in (0, 1e-3]")
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +87,7 @@ def _numeric(doc, key, shape):
         raise InputFormatError(f"{key} holds a boolean, not a number")
     try:
         a = np.asarray(doc[key], float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputFormatError(f"{key} is not numeric: {exc}") from exc
     if a.shape != shape:
         raise InputFormatError(f"{key} must have shape {shape}, not {a.shape}")
@@ -113,10 +111,16 @@ def load_input(path):
     if has_matrix and has_vectors:
         raise InputFormatError("give either theta_matrix or epsilon/theta, not both")
     if has_matrix:
-        return nc.vectors_from_tensor(_numeric(doc, "theta_matrix", (4, 4)))
-    if "epsilon" not in doc or "theta" not in doc:
+        tv = nc.vectors_from_tensor(_numeric(doc, "theta_matrix", (4, 4)))
+    elif "epsilon" not in doc or "theta" not in doc:
         raise InputFormatError("need both epsilon and theta 3-vectors")
-    return nc.ThetaVectors(_numeric(doc, "epsilon", (3,)), _numeric(doc, "theta", (3,)))
+    else:
+        tv = nc.ThetaVectors(_numeric(doc, "epsilon", (3,)), _numeric(doc, "theta", (3,)))
+    # a finite |K|^2 keeps every scale ** 2 finite, since scale <= |K|
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.sum(tv.epsilon ** 2 + tv.theta ** 2)):
+            raise InputFormatError("|K|^2 = sum(theta_i^2 + epsilon_i^2) overflows")
+    return tv
 
 
 # ---------------------------------------------------------------------------
@@ -232,14 +236,13 @@ def _small_group_section(d, k, cfg, rng, scale):
 
 
 def _covariance_check(k, cfg, rng, scale):
-    tv = nc.vectors_from_k(k)
     n = cfg.trials
     L = np.empty((n, 4), np.complex128)
     E, B = np.empty((n, 3)), np.empty((n, 3))
     for i in range(n):
         L[i] = _rand_unit_element(rng)
         E[i], B[i] = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
-    worst = _running_max(0.0, ct.covariant_transport_check(E, B, tv, L))
+    worst = _running_max(0.0, ct.covariant_transport_check(k, L, E, B))
     return worst, worst <= 1e-11 * scale ** 2
 
 
@@ -285,8 +288,7 @@ def _duality_section(k, cfg, rng):
     f = ct.f_vector(E, B)
     h = ct.h_from_f(f, k)
     state = du.gr_from_fh(f, h)
-    table = du.duality_scan(state, k, cfg.scan_n)
-    residuals = np.array([r for _, r in table])
+    chis, residuals = du.duality_scan(state, k, cfg.scan_n)
     peak = float(residuals.max())
 
     quarter_res = []
@@ -295,7 +297,6 @@ def _duality_section(k, cfg, rng):
         quarter_res.append(du.constitutive_residual_gr(rotated, k_rot))
     zeros_max = max(quarter_res)
 
-    chis = np.array([chi for chi, _ in table])
     dist = np.abs((chis + np.pi / 4) % (np.pi / 2) - np.pi / 4)
     far = dist >= np.pi / 36
     offgrid_min = float(residuals[far].min()) if far.any() else 0.0
@@ -305,7 +306,7 @@ def _duality_section(k, cfg, rng):
         "quarter_turn_residuals": quarter_res,
         "offgrid_min_residual": offgrid_min,
         "peak_residual": peak,
-        "table": [[chi, r] for chi, r in table],
+        "table": np.column_stack((chis, residuals)).tolist(),
     }
     if peak == 0.0:
         checks = {"duality_zeros": zeros_max <= 1e-13, "duality_discrete": True}
@@ -314,7 +315,7 @@ def _duality_section(k, cfg, rng):
             "duality_zeros": zeros_max <= 1e-11 * max(1.0, peak),
             "duality_discrete": offgrid_min >= 1e-6 * peak,
         }
-    return section, checks, table
+    return section, checks
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +328,7 @@ def run_analysis(cfg):
 
     k = nc.k_from_vectors(tv)
     inv = nc.invariants(k)
-    kind = nc.classify(k, cfg.classify_tol)
+    kind = nc.classify(k)
     scale = max(1.0, float(np.max(np.abs(k), initial=0.0)))
 
     report = {
@@ -343,7 +344,7 @@ def run_analysis(cfg):
             "scan_n": cfg.scan_n,
             "trials": cfg.trials,
             "seed": cfg.seed,
-            "classify_tol": cfg.classify_tol,
+            "classify_tol": TOL.classify,
         },
         "k_vector": _cv(k),
         "invariants": {
@@ -354,15 +355,12 @@ def run_analysis(cfg):
         "classification": kind,
     }
 
+    checks = {}
     if kind == nc.ZERO:
         report["note"] = ("zero noncommutativity: the stabilizer is the full "
                           "Lorentz group and continuous dual rotations survive")
-        duality, checks, table = _duality_section(k, cfg, rng)
-        report["duality"] = duality
-        report["checks"] = checks
     else:
-        d = sg.describe(k, cfg.classify_tol)
-        checks = {}
+        d = sg.describe(k)
         small, small_checks = _small_group_section(d, k, cfg, rng, scale)
         checks.update(small_checks)
         report["small_group"] = small
@@ -379,10 +377,9 @@ def run_analysis(cfg):
         report["factorization"] = fact
         checks["factorization"] = fact_ok
 
-        duality, dual_checks, table = _duality_section(k, cfg, rng)
-        report["duality"] = duality
-        checks.update(dual_checks)
-        report["checks"] = checks
+    report["duality"], dual_checks = _duality_section(k, cfg, rng)
+    checks.update(dual_checks)
+    report["checks"] = checks
 
     ok = all(report["checks"].values())
     report["status"] = "pass" if ok else "fail"
@@ -392,7 +389,7 @@ def run_analysis(cfg):
     if cfg.csv_path:
         with open(cfg.csv_path, "w") as fh:
             fh.write("chi,residual\n")
-            for chi, r in table:
+            for chi, r in report["duality"]["table"]:
                 fh.write(f"{chi:.12g},{r:.12g}\n")
 
     return report, 0 if ok else 1
@@ -416,13 +413,14 @@ def _build_parser():
     an.add_argument("--scan-n", type=int, default=360, help="duality scan resolution")
     an.add_argument("--trials", type=int, default=100, help="random trial count")
     an.add_argument("--seed", type=int, default=42, help="RNG seed")
-    an.add_argument("--tol", type=float, default=TOL.classify,
-                    help="classification tolerance")
     return parser
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    args, unknown = _build_parser().parse_known_args(argv)
+    if unknown:
+        print(f"input error: unrecognized arguments: {' '.join(unknown)}", file=sys.stderr)
+        return 2
     cfg = AnalysisConfig(
         input_path=args.input,
         report_path=args.report,
@@ -430,7 +428,6 @@ def main(argv=None):
         scan_n=args.scan_n,
         trials=args.trials,
         seed=args.seed,
-        classify_tol=args.tol,
     )
     try:
         report, code = run_analysis(cfg)

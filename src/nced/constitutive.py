@@ -93,16 +93,14 @@ def f_from_h(h, k):
     return h + s_hk[..., None] * h + _cmul(0.5, s_hh)[..., None] * k
 
 
-def covariant_transport_check(E, B, v, L):
+def covariant_transport_check(k, L, E, B):
     """Residual of the forward map when fields AND medium co-transform.
 
     Zero (to rounding) for every Lorentz element: the quaternionic form is
-    built from invariant dot products.  ``E``, ``B`` and ``L`` may be
+    built from invariant dot products.  ``L``, ``E`` and ``B`` may be
     batches; one residual per row.
     """
-    from .noncomm import k_from_vectors
-
-    k = k_from_vectors(v)
+    k = np.asarray(k, np.complex128)
     f = f_vector(E, B)
     h = h_from_f(f, k)
     fp = lorentz.act_vector(L, f)

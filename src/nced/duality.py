@@ -71,7 +71,8 @@ def constitutive_residual_gr(s, k):
 
 
 def duality_scan(s, k, n):
-    """Residual after dual rotation on the uniform angle grid 2 pi j / n.
+    """Residual after dual rotation on the uniform angle grid 2 pi j / n;
+    returns the arrays ``(chis, residuals)``.
 
     The input state must satisfy the constitutive pair before rotation;
     otherwise InconsistentInputError is raised.
@@ -88,5 +89,4 @@ def duality_scan(s, k, n):
     chis = 2.0 * np.pi * np.arange(n) / n
     ph = np.exp(1j * chis)[:, None]
     G, R = np.asarray(s.G, np.complex128), np.asarray(s.R, np.complex128)
-    res = _gr_residual(ph * G, R / ph, ph * k)
-    return list(zip(chis.tolist(), res.tolist()))
+    return chis, _gr_residual(ph * G, R / ph, ph * k)

@@ -78,9 +78,10 @@ def inverse(L):
 def act_vector(L, v):
     """Transform a complex 3-vector; the SO(3,C) action of the element.
 
-    ``L[..., 4]`` and ``v[..., 3]`` broadcast.  The scalar part of each
-    sandwich must cancel; a leak signals a corrupted element and raises
-    DegenerateError naming the worst row.
+    ``L[..., 4]`` and ``v[..., 3]`` broadcast.  The scalar part of the
+    sandwich cancels algebraically for every element, unit or not, so the
+    leak check only bounds rounding: it raises DegenerateError naming the
+    worst row, but it does not detect a corrupted element.
     """
     v = np.asarray(v, np.complex128)
     n = alg.conj_components(L)

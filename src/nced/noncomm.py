@@ -80,14 +80,13 @@ def invariants(k):
     return KInvariants(sq, float(th @ th - eps @ eps), float(-2.0 * th @ eps))
 
 
-def classify(k, tol=TOL.classify):
-    """Zero, isotropic (K.K = 0) or nonisotropic."""
-    if not 0.0 < tol <= 1e-3:
-        raise ValueError("classification tolerance must lie in (0, 1e-3]")
+def classify(k):
+    """Zero (|K| <= TOL.classify), isotropic (|K.K| <= TOL.classify * |K|^2)
+    or nonisotropic."""
     k = np.asarray(k, np.complex128)
     mag2 = float(np.sum(np.abs(k) ** 2))
-    if np.sqrt(mag2) <= tol:
+    if np.sqrt(mag2) <= TOL.classify:
         return ZERO
-    if abs(k @ k) <= tol * mag2:
+    if abs(k @ k) <= TOL.classify * mag2:
         return ISOTROPIC
     return NONISOTROPIC

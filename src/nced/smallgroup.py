@@ -18,7 +18,6 @@ from . import noncomm
 from .algebra import cdot, conj_components, mul, quat
 from .constitutive import f_vector, h_from_f
 from .errors import DegenerateError, KindMismatchError, ZeroKError
-from .tolerances import DEFAULT as TOL
 
 
 @dataclass(frozen=True)
@@ -29,10 +28,10 @@ class SmallGroupDescriptor:
     sqrt_square: Optional[complex] = None     # nonisotropic: principal root of phi.phi
 
 
-def describe(k, tol=TOL.classify):
+def describe(k):
     """Classify K and package the stabilizer parametrization data."""
     k = np.asarray(k, np.complex128)
-    kind = noncomm.classify(k, tol)
+    kind = noncomm.classify(k)
     if kind == noncomm.ZERO:
         raise ZeroKError("zero noncommutativity: the stabilizer is the full Lorentz group")
     phi = noncomm.phi_from_k(k)
@@ -118,14 +117,14 @@ def _sandwich_to_element(n_box):
     return lorentz.make_element(L[0], L[1:])
 
 
-def canonical_form(k, tol=TOL.classify):
+def canonical_form(k):
     """Lorentz element carrying a nonisotropic K to the frame where its
     stabilizer axis is a real unit vector; returns (L, transported K)."""
     k = np.asarray(k, np.complex128)
-    if noncomm.classify(k, tol) != noncomm.NONISOTROPIC:
+    if noncomm.classify(k) != noncomm.NONISOTROPIC:
         raise KindMismatchError("canonical_form needs a nonisotropic K; "
                                 "use canonical_form_isotropic for null K")
-    d = describe(k, tol)
+    d = describe(k)
     n, m = d.phi_hat.real, d.phi_hat.imag
     if np.max(np.abs(m)) <= 1e-13:
         L = lorentz.identity()
@@ -141,11 +140,11 @@ def canonical_form(k, tol=TOL.classify):
     return L, lorentz.act_vector(L, k)
 
 
-def canonical_form_isotropic(k, tol=TOL.classify):
+def canonical_form_isotropic(k):
     """Variant for isotropic K: carries phi = conj(K) to the reference null
     vector (1, -i, 0); returns (L, transported K)."""
     k = np.asarray(k, np.complex128)
-    if noncomm.classify(k, tol) != noncomm.ISOTROPIC:
+    if noncomm.classify(k) != noncomm.ISOTROPIC:
         raise KindMismatchError("canonical_form_isotropic needs an isotropic K")
     phi = noncomm.phi_from_k(k)
     p, q = phi.real, phi.imag

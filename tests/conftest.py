@@ -1,8 +1,15 @@
 """Shared random constructors for the test suite."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 
 from nced.algebra import norm
+
+# the subprocess tests run ``python -m nced`` from this checkout, installed or not
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 def rand_unit_element(rng, scale=1.0):

@@ -198,7 +198,7 @@ def test_criterion_06_form_invariance_and_covariance():
         if lo.abs2(L) > 8.0:
             continue  # absolute tolerance needs bounded rapidity
         n_draws += 1
-        worst_cov = max(worst_cov, ct.covariant_transport_check(E, B, tv, L))
+        worst_cov = max(worst_cov, ct.covariant_transport_check(nc.k_from_vectors(tv), L, E, B))
     assert worst_cov <= 1e-12
     _passed(6, f"small-group form-invariance {worst_inv:.2e}, "
                f"full-group covariant transport {worst_cov:.2e}")
@@ -291,9 +291,7 @@ def test_criterion_09_discrete_duality():
         k = nc.k_from_vectors(tv)
         f = ct.f_vector(E, B)
         s = du.gr_from_fh(f, ct.h_from_f(f, k))
-        table = du.duality_scan(s, k, 720)
-        res = np.array([r for _, r in table])
-        chis = np.array([c for c, _ in table])
+        chis, res = du.duality_scan(s, k, 720)
         worst_zero = max(worst_zero, float(res[list(quarter_idx)].max()))
         dist = np.abs((chis + np.pi / 4) % (np.pi / 2) - np.pi / 4)
         worst_floor = min(worst_floor, float(res[dist >= np.pi / 36].min()))
@@ -302,8 +300,7 @@ def test_criterion_09_discrete_duality():
     # commutative limit: every grid point is invariant
     f = ct.f_vector(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3))
     s0 = du.gr_from_fh(f, f.copy())
-    table0 = du.duality_scan(s0, np.zeros(3, complex), 720)
-    zero_worst = max(r for _, r in table0)
+    zero_worst = float(du.duality_scan(s0, np.zeros(3, complex), 720)[1].max())
     assert zero_worst <= 1e-12
     _passed(9, f"quarter-turn zeros {worst_zero:.2e}, off-axis floor "
                f"{worst_floor:.2e}, commutative limit {zero_worst:.2e}")

@@ -162,12 +162,22 @@ BOOLEAN = [
     "theta_matrix: [[0,0,0,0],[0,0,-1,0],[0,true,0,0],[0,0,0,0]]\n",
 ]
 
+# |K|^2 overflows a float although every entry is finite (the matrix is the
+# first input in matrix form), and an integer too large for a float
+OVERFLOWING = [
+    "epsilon: [1.0e200, 0, 0]\ntheta: [0, 1.0e200, 3]\n",
+    "theta_matrix: [[0, -1.0e200, 0, 0], [1.0e200, 0, -3, 1.0e200],"
+    " [0, 3, 0, 0], [0, -1.0e200, 0, 0]]\n",
+    pytest.param("theta: [1" + "0" * 400 + ", 0, 0]\nepsilon: [0, 0, 0]\n", id="int-401-digits"),
+]
 
-@pytest.mark.parametrize("text", NON_FINITE + BOOLEAN)
+
+@pytest.mark.parametrize("text", NON_FINITE + BOOLEAN + OVERFLOWING)
 def test_non_finite_or_boolean_input_exit_2(tmp_path, capsys, text):
+    # main returns instead of raising, so no traceback is printed
     code, rep = run(tmp_path, text)
     assert code == 2
-    assert "input error" in capsys.readouterr().err
+    assert "input error:" in capsys.readouterr().err
     assert not rep.exists()
 
 
@@ -186,6 +196,14 @@ def test_counts_capped(tmp_path, field):
     flag = field.replace("_", "-")
     code, _ = run(tmp_path, "epsilon: [0, 0, 0]\ntheta: [0, 0, 1]\n", **{flag: MAX_COUNT + 1})
     assert code == 2
+
+
+def test_tol_option_removed(tmp_path, capsys):
+    """The isotropic boundary is fixed; ``--tol`` is an unknown option."""
+    code, rep = run(tmp_path, "epsilon: [0, 0, 0]\ntheta: [0, 0, 1]\n", tol=1e-9)
+    assert code == 2
+    assert "input error: unrecognized arguments: --tol" in capsys.readouterr().err
+    assert not rep.exists()
 
 
 def test_sign_draw_keeps_rng_stream():

@@ -171,7 +171,7 @@ def test_double_application_slope_two():
 def test_transport_check_identity():
     rng = np.random.default_rng(11)
     E, B, tv = rand_state(rng)
-    assert ct.covariant_transport_check(E, B, tv, lo.identity()) == 0.0
+    assert ct.covariant_transport_check(nc.k_from_vectors(tv), lo.identity(), E, B) == 0.0
 
 
 def test_transport_check_full_group():
@@ -179,7 +179,7 @@ def test_transport_check_full_group():
     for _ in range(100):
         E, B, tv = rand_state(rng)
         L = rand_unit_element(rng)
-        assert ct.covariant_transport_check(E, B, tv, L) <= 1e-12 * max(
+        assert ct.covariant_transport_check(nc.k_from_vectors(tv), L, E, B) <= 1e-12 * max(
             1.0, lo.abs2(L) ** 3
         )
 

@@ -92,20 +92,19 @@ def test_scan_rejects_small_n():
 def test_scan_zero_structure():
     rng = np.random.default_rng(6)
     s, k = consistent_state(rng)
-    table = du.duality_scan(s, k, 720)
-    assert len(table) == 720
+    chis, res = du.duality_scan(s, k, 720)
+    assert chis.shape == res.shape == (720,)
     for idx in (0, 180, 360, 540):
-        chi, r = table[idx]
-        assert abs(chi - idx * np.pi / 360) <= 1e-12
-        assert r <= 1e-11
-    far = [r for chi, r in table if grid_distance_to_quarter(chi) >= np.pi / 36]
+        assert abs(chis[idx] - idx * np.pi / 360) <= 1e-12
+        assert res[idx] <= 1e-11
+    far = [r for chi, r in zip(chis, res) if grid_distance_to_quarter(chi) >= np.pi / 36]
     assert min(far) >= 1e-6
 
 
 def test_scan_quarter_period_pointwise():
     rng = np.random.default_rng(7)
     s, k = consistent_state(rng)
-    res = np.array([r for _, r in du.duality_scan(s, k, 720)])
+    _, res = du.duality_scan(s, k, 720)
     assert np.max(np.abs(res - np.roll(res, -180))) <= 1e-11
 
 
@@ -133,5 +132,5 @@ def test_commutative_limit_restores_continuous_duality():
     rng = np.random.default_rng(9)
     f = ct.f_vector(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3))
     s = du.gr_from_fh(f, f.copy())  # K = 0 forces h = f
-    table = du.duality_scan(s, np.zeros(3, complex), 720)
-    assert max(r for _, r in table) <= 1e-12
+    _, res = du.duality_scan(s, np.zeros(3, complex), 720)
+    assert res.max() <= 1e-12

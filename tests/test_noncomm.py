@@ -112,11 +112,6 @@ def test_classify_cases():
     assert nc.classify(np.zeros(3, complex)) == nc.ZERO
 
 
-def test_classify_tol_domain():
-    with pytest.raises(ValueError):
-        nc.classify(np.ones(3, complex), tol=0.5)
-
-
 def test_classify_invariant_under_action():
     rng = np.random.default_rng(4)
     for _ in range(50):
