@@ -44,12 +44,13 @@ def describe(k):
 def element(d, chi=None, w=None, sign=1):
     """One stabilizer element, or a batch ``[..., 4]`` for array parameters.
 
-    Nonisotropic descriptors take a complex angle ``chi``; isotropic ones a
-    complex displacement ``w`` and an overall ``sign`` of +-1.
+    Nonisotropic descriptors take a complex angle ``chi`` and no sign, since
+    ``-L(chi) = L(chi + pi)``; isotropic ones a complex displacement ``w`` and
+    an overall ``sign`` of +-1.
     """
     if d.kind == noncomm.NONISOTROPIC:
-        if chi is None or w is not None:
-            raise KindMismatchError("nonisotropic small group is parametrized by chi")
+        if chi is None or w is not None or np.any(np.asarray(sign) != 1):
+            raise KindMismatchError("nonisotropic small group is parametrized by chi alone")
         chi = np.asarray(chi, np.complex128)
         return quat(np.cos(chi), np.sin(chi)[..., None] * d.phi_hat)
     if chi is not None or w is None:
@@ -102,11 +103,13 @@ def verify_constitutive_invariance(k, L, E, B):
 
 
 def _orthonormal_rows(r1, r2):
+    """Rows r1/|r1|, the unit part of r2 orthogonal to it, and their cross
+    product; None when that orthogonal part is shorter than 1e-12."""
     r1 = r1 / np.linalg.norm(r1)
     r2 = r2 - (r2 @ r1) * r1
     n2 = np.linalg.norm(r2)
     if n2 < 1e-12:
-        raise DegenerateError("degenerate direction pair in canonical reduction")
+        return None
     r2 = r2 / n2
     return np.vstack([r1, r2, np.cross(r1, r2)])
 
@@ -126,11 +129,10 @@ def canonical_form(k):
                                 "use canonical_form_isotropic for null K")
     d = describe(k)
     n, m = d.phi_hat.real, d.phi_hat.imag
-    if np.max(np.abs(m)) <= 1e-13:
-        L = lorentz.identity()
-        return L, k.copy()
-    a, b = np.linalg.norm(n), np.linalg.norm(m)
     rot = _orthonormal_rows(n, m)
+    if rot is None:   # Im phi_hat too short to orient a frame: the axis is real
+        return lorentz.identity(), k.copy()
+    a, b = np.linalg.norm(n), np.linalg.norm(m)
     n_rot = lorentz.element_from_rotation_matrix(rot)
     # null the imaginary part: after rotating (n -> a x, m -> b y), a boost
     # along z with th(2 beta) = -b/a lands the axis exactly on x
@@ -151,6 +153,8 @@ def canonical_form_isotropic(k):
     if np.linalg.norm(q) < 1e-12 * np.linalg.norm(p):
         raise DegenerateError("null direction collapsed; K is too close to zero")
     rot = _orthonormal_rows(p, -q)
+    if rot is None:
+        raise DegenerateError("degenerate direction pair in canonical reduction")
     n_rot = lorentz.element_from_rotation_matrix(rot)
     # a z-boost scales the null transverse vector (1, -i, 0) by exp(-2 beta)
     beta = 0.5 * np.log(np.linalg.norm(p))

@@ -9,10 +9,6 @@ class Tolerances:
     # the element is accepted without renormalization
     unit_reject: float = 1e-9
     unit_clean: float = 1e-12
-    # residual scalar part allowed to leak out of a vector sandwich
-    scalar_leak: float = 1e-13
-    # imaginary part allowed in a four-vector that should come back real
-    reality: float = 1e-12
     # classification of a noncommutativity vector (relative)
     classify: float = 1e-9
     # pre-rotation consistency required before a duality scan

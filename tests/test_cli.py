@@ -186,6 +186,22 @@ def test_numeric_strings_still_accepted(tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("eps, theta", [
+    ("0, 2e-13, 0", "1, 0, 0"),
+    ("0, 5e-13, 0", "1, 0, 0"),
+    ("0, 9e-13, 0", "1, 0, 0"),
+    ("0, 5e-10, 0", "1000, 0, 0"),
+    ("3e-13, 0, 3e-13", "0, 2, 0"),
+])
+def test_canonical_form_of_nearly_real_axis(tmp_path, eps, theta):
+    """An axis whose imaginary part is too short to span a frame, but
+    above the old 1e-13 shortcut, takes the identity reduction."""
+    code, rep = run(tmp_path, f"epsilon: [{eps}]\ntheta: [{theta}]\n")
+    assert code == 0
+    element = yaml.safe_load(rep.read_text())["canonical_form"]["element"]
+    assert element == [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+
+
 @pytest.mark.parametrize("field", ["trials", "scan_n"])
 def test_counts_capped(tmp_path, field):
     cfg = AnalysisConfig("in.yaml", "out.yaml", **{field: MAX_COUNT})

@@ -6,7 +6,7 @@ import pytest
 
 from nced import algebra as alg
 from nced import lorentz as lo
-from nced.errors import NotUnitError
+from nced.errors import DegenerateError, NotUnitError
 from conftest import rand_rotation, rand_unit_element
 
 
@@ -231,6 +231,40 @@ def test_factorize_unit_factors():
     rot, bst = lo.factorize(L)
     assert abs(alg.norm(rot) - 1.0) <= 1e-12
     assert abs(alg.norm(bst) - 1.0) <= 1e-12
+
+
+def test_unchecked_identities_hold_for_non_unit_elements():
+    """The identities ``act_vector``, ``act_four_vector`` and ``factorize``
+    rely on unchecked hold for arbitrary elements, up to rounding."""
+    rng = np.random.default_rng(16)
+    n = 2000
+    u = np.finfo(float).eps / 2
+    L = (rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))) * 10.0 ** rng.uniform(-3, 3, (n, 1))
+    size = lo.abs2(L)
+    # the scalar part of the vector sandwich vanishes
+    v = (rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))) * 10.0 ** rng.uniform(-6, 6, (n, 1))
+    c = alg.conj_components(L)
+    r = alg.mul(alg.mul(c, alg.from_vector(v)), alg.conj_quat(c))
+    assert np.all(np.abs(r[:, 0]) <= 16 * u * size * np.max(np.abs(v), axis=-1))
+    # a real four-vector comes back real
+    a0 = rng.normal(size=n) * 10.0 ** rng.uniform(-6, 6, n)
+    a = rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-6, 6, (n, 1))
+    r = alg.mul(alg.mul(c, alg.quat(-1j * a0, a.astype(complex))), alg.conj_quat(L))
+    bound = 16 * u * size * np.maximum(np.abs(a0), np.max(np.abs(a), axis=-1))
+    assert np.all(np.abs(r[:, 0].real) <= bound)
+    assert np.all(np.max(np.abs(r[:, 1:].imag), axis=-1) <= bound)
+    for i in range(0, n, 100):
+        b0, b = lo.act_four_vector(L[i], a0[i], a[i])
+        assert b0 == float((1j * r[i, 0]).real) and np.array_equal(b, r[i, 1:].real)
+    # the polar split's boost norm is at least one
+    nb = alg.norm(alg.mul(alg.conj_complex(L), L) + alg.ONE)
+    assert np.all(nb.real >= 1.0)
+    assert np.all(np.abs(nb.imag) <= 16 * u * (1.0 + size) ** 2)
+
+
+def test_factorize_rejects_non_unit_element():
+    with pytest.raises(DegenerateError, match="rotation factor"):
+        lo.factorize(1j * lo.rotation((0, 0, 1), 0.3))
 
 
 def test_element_from_rotation_matrix_roundtrip():

@@ -69,6 +69,10 @@ def test_element_kind_mismatch():
     d = sg.describe(rand_nonisotropic_k(rng))
     with pytest.raises(KindMismatchError):
         sg.element(d, w=1.0)
+    with pytest.raises(KindMismatchError):   # -L(chi) is L(chi + pi)
+        sg.element(d, chi=0.3, sign=-1)
+    with pytest.raises(KindMismatchError):
+        sg.element(d, chi=[0.3, 0.4], sign=[1, -1])
     di = sg.describe(rand_isotropic_k(rng))
     with pytest.raises(KindMismatchError):
         sg.element(di, chi=1.0)
