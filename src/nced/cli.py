@@ -8,7 +8,8 @@ Input file (YAML): either a 4x4 ``theta_matrix`` or a pair of 3-vectors
 Exit codes: 0 all checks pass (or the zero-input note), 1 a physics check
 failed, 2 malformed input (including non-finite or boolean entries, an
 |K|^2 that overflows a float, ``--trials`` or ``--scan-n`` above
-``MAX_COUNT``, and unknown options).
+``MAX_COUNT``, a negative ``--seed``, a ``--report`` or ``--csv`` path that
+cannot be written, and unknown options).
 """
 
 import argparse
@@ -51,6 +52,8 @@ class AnalysisConfig:
             raise InputFormatError(f"scan resolution must lie in [8, {MAX_COUNT}]")
         if not 1 <= self.trials <= MAX_COUNT:
             raise InputFormatError(f"trial count must lie in [1, {MAX_COUNT}]")
+        if self.seed < 0:
+            raise InputFormatError("seed must be a non-negative integer")
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +74,20 @@ def _fv(v):
 
 def _mat(m):
     return [_fv(row) for row in np.asarray(m, float)]
+
+
+_NON_FINITE = {"nan": ".nan", "inf": ".inf", "-inf": "-.inf"}
+
+
+def _yaml_float(x):
+    """``x`` as PyYAML's ``SafeRepresenter.represent_float`` writes it."""
+    text = repr(x).lower()
+    if text in _NON_FINITE:
+        return _NON_FINITE[text]
+    # a plain float needs a dot: PyYAML writes 1e-05 as 1.0e-05
+    if "." not in text and "e" in text:
+        text = text.replace("e", ".0e", 1)
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -384,13 +401,29 @@ def run_analysis(cfg):
     ok = all(report["checks"].values())
     report["status"] = "pass" if ok else "fail"
 
-    with open(cfg.report_path, "w") as fh:
-        yaml.dump(report, fh, Dumper=_DUMPER, sort_keys=False)
+    # PyYAML's representer builds one node per float, so the scan table is
+    # written here, in the bytes it would write, in place of an empty one
+    table = report["duality"]["table"]
+    rest = {**report, "duality": {**report["duality"], "table": []}}
+    try:
+        with open(cfg.report_path, "w") as fh:
+            head, empty, tail = yaml.dump(
+                rest, Dumper=_DUMPER, sort_keys=False).rpartition("\n  table: []\n")
+            assert empty, "the dumped report has no empty duality table"
+            fh.write(head + "\n  table:\n")
+            fh.write("".join(f"  - - {_yaml_float(chi)}\n    - {_yaml_float(r)}\n"
+                             for chi, r in table))
+            fh.write(tail)
+    except OSError as exc:
+        raise InputFormatError(f"cannot write report: {exc}") from exc
     if cfg.csv_path:
-        with open(cfg.csv_path, "w") as fh:
-            fh.write("chi,residual\n")
-            for chi, r in report["duality"]["table"]:
-                fh.write(f"{chi:.12g},{r:.12g}\n")
+        try:
+            with open(cfg.csv_path, "w") as fh:
+                fh.write("chi,residual\n")
+                for chi, r in table:
+                    fh.write(f"{chi:.12g},{r:.12g}\n")
+        except OSError as exc:
+            raise InputFormatError(f"cannot write CSV: {exc}") from exc
 
     return report, 0 if ok else 1
 

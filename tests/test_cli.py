@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
-from nced.cli import MAX_COUNT, AnalysisConfig, load_input, main, run_analysis
+from nced.cli import MAX_COUNT, AnalysisConfig, _yaml_float, load_input, main, run_analysis
 from nced import noncomm as nc
 from nced.errors import InputFormatError
 
@@ -232,15 +232,61 @@ def test_sign_draw_keeps_rng_stream():
     assert old.uniform() == new.uniform()
 
 
-@pytest.mark.skipif(not hasattr(yaml, "CSafeDumper"), reason="PyYAML built without libyaml")
-@pytest.mark.parametrize("text", [
+# a nonisotropic, an isotropic and a zero input
+KINDS = [
     "epsilon: [0.2, 0.0, 0.1]\ntheta: [0.0, 0.3, 1.0]\n",
     "epsilon: [0.0, -1.0, 0.0]\ntheta: [1.0, 0.0, 0.0]\n",
     "epsilon: [0, 0, 0]\ntheta: [0, 0, 0]\n",
-])
+]
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeDumper"), reason="PyYAML built without libyaml")
+@pytest.mark.parametrize("text", KINDS)
 def test_c_and_python_dumpers_write_the_same_bytes(tmp_path, text):
     inp = write_input(tmp_path / "in.yaml", text)
     report, _ = run_analysis(AnalysisConfig(inp, str(tmp_path / "r.yaml"), trials=20))
     fast = yaml.dump(report, Dumper=yaml.CSafeDumper, sort_keys=False)
     assert fast == yaml.dump(report, Dumper=yaml.SafeDumper, sort_keys=False)
     assert fast == (tmp_path / "r.yaml").read_text()
+
+
+@pytest.mark.parametrize("scan_n", [8, 360, 10_000])
+@pytest.mark.parametrize("text", KINDS)
+def test_scan_table_written_as_pyyaml_writes_it(tmp_path, text, scan_n):
+    """The scan table is written without PyYAML's representer, in its bytes."""
+    inp = write_input(tmp_path / "in.yaml", text)
+    report, _ = run_analysis(
+        AnalysisConfig(inp, str(tmp_path / "r.yaml"), scan_n=scan_n, trials=10))
+    assert len(report["duality"]["table"]) == scan_n
+    expected = yaml.dump(report, Dumper=yaml.SafeDumper, sort_keys=False)
+    # lines, not one string, so a failure names its first line without
+    # a character diff of the whole report
+    written = (tmp_path / "r.yaml").read_text()
+    assert written.splitlines(keepends=True) == expected.splitlines(keepends=True)
+
+
+def test_yaml_float_matches_pyyaml():
+    special = [0.0, -0.0, 1e16, 1e17, 1e-05, 5e-324, 1.2345678901234568e+17,
+               float("nan"), float("inf"), float("-inf")]
+    bits = np.random.default_rng(0).integers(0, 2**64, size=100_000, dtype=np.uint64)
+    values = special + bits.view(np.float64).tolist()
+    expected = yaml.dump(values, Dumper=yaml.SafeDumper).splitlines()
+    assert [f"- {_yaml_float(x)}" for x in values] == expected
+
+
+@pytest.mark.parametrize("output, name", [("report", "report"), ("csv", "CSV")])
+def test_unwritable_output_exit_2(tmp_path, capsys, output, name):
+    inp = write_input(tmp_path / "in.yaml", "epsilon: [0, 0, 0]\ntheta: [0, 0, 1]\n")
+    paths = {"report": str(tmp_path / "r.yaml"), "csv": str(tmp_path / "s.csv")}
+    paths[output] = str(tmp_path / "missing" / "out")
+    code = main(["analyze", "--input", inp, "--report", paths["report"],
+                 "--csv", paths["csv"], "--trials", "5"])
+    assert code == 2
+    assert f"input error: cannot write {name}:" in capsys.readouterr().err
+
+
+def test_negative_seed_exit_2(tmp_path, capsys):
+    code, rep = run(tmp_path, "epsilon: [0, 0, 0]\ntheta: [0, 0, 1]\n", seed=-1)
+    assert code == 2
+    assert "input error: seed must be a non-negative integer" in capsys.readouterr().err
+    assert not rep.exists()
