@@ -1,14 +1,18 @@
 """Analyzer CLI: input handling, report content, exit codes, determinism."""
 
+import importlib.util
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import nced.cli
 from nced.cli import MAX_COUNT, AnalysisConfig, _yaml_float, load_input, main, run_analysis
 from nced import noncomm as nc
+from nced import smallgroup as sg
 from nced.errors import InputFormatError
 
 
@@ -290,3 +294,24 @@ def test_negative_seed_exit_2(tmp_path, capsys):
     assert code == 2
     assert "input error: seed must be a non-negative integer" in capsys.readouterr().err
     assert not rep.exists()
+
+
+def test_corrupted_stabilizer_exits_1(tmp_path, capsys, monkeypatch):
+    stabilizes = sg.stabilizes
+    monkeypatch.setattr(sg, "stabilizes", lambda L, k: stabilizes(L, k) + 1e-3)
+    code, rep = run(tmp_path, "epsilon: [0.0, 0.0, 0.0]\ntheta: [0.0, 0.0, 1.0]\n")
+    assert code == 1
+    report = yaml.safe_load(rep.read_text())
+    assert report["status"] == "fail"
+    assert [c for c, ok in report["checks"].items() if not ok] == ["stabilizer"]
+    assert capsys.readouterr().out == f"fail: nonisotropic; checks 9/10; report {rep}\n"
+
+
+def test_tracer_cli_spans_are_cli_functions():
+    # perfbench/run.py --trace 1 wraps these nced.cli helpers by name
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for name in tracer.CLI_SPANS:
+        assert callable(getattr(nced.cli, name, None)), name
