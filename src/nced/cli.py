@@ -253,11 +253,10 @@ def _covariance_check(k, cfg, rng):
 
 
 def _canonical_section(d, k):
+    L, k_can = sg.canonical_form(k)
     if d.kind == nc.NONISOTROPIC:
-        L, k_can = sg.canonical_form(k)
         resid = float(np.max(np.abs(lorentz.act_vector(L, d.phi_hat).imag)))
     else:
-        L, k_can = sg.canonical_form_isotropic(k)
         target = np.array([1.0, -1.0j, 0.0])
         resid = float(np.max(np.abs(lorentz.act_vector(L, d.phi) - target)))
     return {

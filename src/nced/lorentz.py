@@ -112,11 +112,6 @@ def so3c_matrix(L):
     return so3c_entries(alg.conj_components(L))
 
 
-def _encode_four(a0, a):
-    q = alg.quat(-1j * a0, np.asarray(a, np.complex128))
-    return q
-
-
 def act_four_vector(L, a0, a):
     """Transform a real four-vector (a0, a); returns real (a0', a').
 
@@ -125,7 +120,7 @@ def act_four_vector(L, a0, a):
     ``b`` for every element, unit or not; the imaginary rounding residue is
     dropped unchecked.
     """
-    A = _encode_four(a0, a)
+    A = alg.quat(-1j * a0, np.asarray(a, np.complex128))
     r = alg.mul(alg.mul(alg.conj_components(L), A), alg.conj_quat(L))
     return float((1j * r[0]).real), r[1:4].real.copy()
 

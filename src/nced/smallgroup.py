@@ -6,6 +6,8 @@ For a nonisotropic K the group is the two-parameter Abelian family
 imaginary parts generate a rotation and a boost about the same (generally
 complex) axis.  For an isotropic K (``K.K = 0``) the group is
 ``L = +-(1 + w * phi)``, an additive copy of the complex plane.
+
+One ``canonical_form`` serves any non-null K, of either kind.
 """
 
 from dataclasses import dataclass
@@ -17,7 +19,7 @@ from . import lorentz
 from . import noncomm
 from .algebra import cdot, conj_components, mul, quat
 from .constitutive import f_vector, h_from_f
-from .errors import DegenerateError, KindMismatchError, ZeroKError
+from .errors import KindMismatchError, ZeroKError
 
 
 @dataclass(frozen=True)
@@ -114,50 +116,30 @@ def _orthonormal_rows(r1, r2):
     return np.vstack([r1, r2, np.cross(r1, r2)])
 
 
-def _sandwich_to_element(n_box):
-    """Lorentz element whose vector action is the sandwich by ``n_box``."""
-    L = conj_components(n_box)
-    return lorentz.make_element(L[0], L[1:])
-
-
 def canonical_form(k):
-    """Lorentz element carrying a nonisotropic K to the frame where its
-    stabilizer axis is a real unit vector; returns (L, transported K)."""
+    """Lorentz element carrying a non-null K to its canonical frame; returns
+    (L, transported K).
+
+    A nonisotropic stabilizer axis ``phi_hat`` lands on a real unit vector,
+    an isotropic ``phi = conj(K)`` on the reference null vector (1, -i, 0).
+    L is a unit rotation times a unit z-boost, so its norm defect is rounding
+    of that product alone and it is not renormalized.
+    """
     k = np.asarray(k, np.complex128)
-    if noncomm.classify(k) != noncomm.NONISOTROPIC:
-        raise KindMismatchError("canonical_form needs a nonisotropic K; "
-                                "use canonical_form_isotropic for null K")
     d = describe(k)
-    n, m = d.phi_hat.real, d.phi_hat.imag
-    rot = _orthonormal_rows(n, m)
-    if rot is None:   # Im phi_hat too short to orient a frame: the axis is real
-        return lorentz.identity(), k.copy()
-    a, b = np.linalg.norm(n), np.linalg.norm(m)
-    n_rot = lorentz.element_from_rotation_matrix(rot)
-    # null the imaginary part: after rotating (n -> a x, m -> b y), a boost
-    # along z with th(2 beta) = -b/a lands the axis exactly on x
-    beta = 0.5 * np.arctanh(-b / a)
+    if d.kind == noncomm.NONISOTROPIC:
+        n, m = d.phi_hat.real, d.phi_hat.imag
+        rot = _orthonormal_rows(n, m)
+        if rot is None:   # Im phi_hat too short to orient a frame: the axis is real
+            return lorentz.identity(), k.copy()
+        # null the imaginary part: after rotating (n -> a x, m -> b y), a boost
+        # along z with th(2 beta) = -b/a lands the axis exactly on x
+        beta = 0.5 * np.arctanh(-np.linalg.norm(m) / np.linalg.norm(n))
+    else:
+        p, q = d.phi.real, d.phi.imag
+        rot = _orthonormal_rows(p, -q)
+        # a z-boost scales the null transverse vector (1, -i, 0) by exp(-2 beta)
+        beta = 0.5 * np.log(np.linalg.norm(p))
     n_boost = lorentz.boost((0.0, 0.0, 1.0), beta)
-    L = _sandwich_to_element(mul(n_boost, n_rot))
-    return L, lorentz.act_vector(L, k)
-
-
-def canonical_form_isotropic(k):
-    """Variant for isotropic K: carries phi = conj(K) to the reference null
-    vector (1, -i, 0); returns (L, transported K)."""
-    k = np.asarray(k, np.complex128)
-    if noncomm.classify(k) != noncomm.ISOTROPIC:
-        raise KindMismatchError("canonical_form_isotropic needs an isotropic K")
-    phi = noncomm.phi_from_k(k)
-    p, q = phi.real, phi.imag
-    if np.linalg.norm(q) < 1e-12 * np.linalg.norm(p):
-        raise DegenerateError("null direction collapsed; K is too close to zero")
-    rot = _orthonormal_rows(p, -q)
-    if rot is None:
-        raise DegenerateError("degenerate direction pair in canonical reduction")
-    n_rot = lorentz.element_from_rotation_matrix(rot)
-    # a z-boost scales the null transverse vector (1, -i, 0) by exp(-2 beta)
-    beta = 0.5 * np.log(np.linalg.norm(p))
-    n_boost = lorentz.boost((0.0, 0.0, 1.0), beta)
-    L = _sandwich_to_element(mul(n_boost, n_rot))
+    L = conj_components(mul(n_boost, lorentz.element_from_rotation_matrix(rot)))
     return L, lorentz.act_vector(L, k)

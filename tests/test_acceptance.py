@@ -270,10 +270,22 @@ def test_criterion_08_canonical_form():
         worst_drift = max(
             worst_drift, abs(complex(k_can @ k_can) - complex(k @ k)) / max(1.0, abs(k @ k))
         )
+    # README promises the reduction for any non-null K, isotropic ones too
+    target = np.array([1.0, -1.0j, 0.0])
+    worst_null = worst_square = 0.0
+    for _ in range(50):
+        k = rand_isotropic_k(rng)
+        L, k_can = sg.canonical_form(k)
+        image = lo.act_vector(L, nc.phi_from_k(k))
+        worst_null = max(worst_null, float(np.max(np.abs(image - target))))
+        worst_square = max(worst_square, abs(complex(k_can @ k_can)))
     assert worst_im <= 1e-11
     assert worst_drift <= 1e-12
+    assert worst_null <= 1e-11
+    assert worst_square <= 1e-11
     _passed(8, f"canonical reduction: residual imaginary part {worst_im:.2e}, "
-               f"invariant drift {worst_drift:.2e}")
+               f"invariant drift {worst_drift:.2e}; isotropic: null-vector residual "
+               f"{worst_null:.2e}, k_can.k_can {worst_square:.2e}")
 
 
 @criterion(9, "discrete duality")

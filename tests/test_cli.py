@@ -1,6 +1,8 @@
 """Analyzer CLI: input handling, report content, exit codes, determinism."""
 
 import importlib.util
+import inspect
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -11,9 +13,12 @@ import yaml
 
 import nced.cli
 from nced.cli import MAX_COUNT, AnalysisConfig, _yaml_float, load_input, main, run_analysis
+from nced import lorentz
 from nced import noncomm as nc
 from nced import smallgroup as sg
 from nced.errors import InputFormatError
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_input(path, text):
@@ -307,11 +312,49 @@ def test_corrupted_stabilizer_exits_1(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out == f"fail: nonisotropic; checks 9/10; report {rep}\n"
 
 
-def test_tracer_cli_spans_are_cli_functions():
-    # perfbench/run.py --trace 1 wraps these nced.cli helpers by name
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+@pytest.mark.parametrize("kind,text", [
+    ("nonisotropic", "epsilon: [0.0, 0.0, 0.0]\ntheta: [0.0, 0.0, 1.0]\n"),
+    ("isotropic", "epsilon: [0.0, -1.0, 0.0]\ntheta: [1.0, 0.0, 0.0]\n"),
+])
+def test_corrupted_canonical_element_exits_1(tmp_path, capsys, monkeypatch, kind, text):
+    # canonical_form does not renormalize its element, so the report's
+    # canonical_form row is what must reject a non-unit one
+    canonical_form = sg.canonical_form
+
+    def corrupted(k):
+        L = canonical_form(k)[0] * (1 + 1e-6)
+        return L, lorentz.act_vector(L, k)
+
+    monkeypatch.setattr(sg, "canonical_form", corrupted)
+    code, rep = run(tmp_path, text)
+    assert code == 1
+    report = yaml.safe_load(rep.read_text())
+    assert report["status"] == "fail"
+    assert [c for c, ok in report["checks"].items() if not ok] == ["canonical_form"]
+    assert capsys.readouterr().out == f"fail: {kind}; checks 9/10; report {rep}\n"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer",
+                                                  ROOT / "perfbench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    for name in tracer.CLI_SPANS:
+    return tracer
+
+
+def test_tracer_cli_spans_are_cli_functions():
+    # perfbench/run.py --trace 1 wraps these nced.cli helpers by name
+    for name in load_tracer().CLI_SPANS:
         assert callable(getattr(nced.cli, name, None)), name
+
+
+def test_benchmark_layer_metrics_name_nced_functions():
+    # a per-layer metric <layer>.<function>.<stat> reads 0 once its kernel
+    # is gone, so every traced kernel it names must still exist
+    layers = load_tracer().LAYERS
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
+    kernels = [name.split(".")[:2] for name in names if name.split(".")[0] in layers]
+    assert kernels
+    for layer, function in kernels:
+        module = importlib.import_module(f"nced.{layer}")
+        assert inspect.isfunction(getattr(module, function, None)), f"nced.{layer}.{function}"
