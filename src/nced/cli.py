@@ -16,6 +16,7 @@ The sections below only compute report values; every pass bound is a row of
 """
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -147,16 +148,105 @@ def load_input(path):
 # ---------------------------------------------------------------------------
 # analysis sections
 
-def _rand_unit_element(rng):
+# The trials are drawn in bulk, but from the stream exactly as one call per
+# draw would take it: ``rng.uniform(lo, hi)`` and ``rng.random()`` read one
+# 64-bit word each, ``lo + (hi - lo)·u`` with u = (word >> 11)·2⁻⁵³, and
+# ``rng.integers(0, 2)`` reads half a word through PCG64's 32-bit buffer.
+# The first sign of a pair draws a new word and takes its bit 31; the next
+# takes bit 63 of the same word. Doubles do not touch the buffer.
+
+def _trial_words(rng, n, pattern):
+    """``n`` trials of ``pattern`` from one ``rng.random`` call, shape
+    ``(n, len(pattern))``: a ``"u"`` slot holds the u of a double draw, an
+    ``"s"`` slot the bit of an ``integers(0, 2)`` draw. The 32-bit buffer
+    must be empty on entry."""
+    is_sign = np.tile([c == "s" for c in pattern], n)
+    first = is_sign & (np.cumsum(is_sign) % 2 == 1)
+    second = is_sign & ~first
+    word = np.cumsum(~second) - 1
+    word[second] = word[first][:np.count_nonzero(second)]
+    u = rng.random(np.count_nonzero(~second))
+    out = u[word]
+    # u·2⁵³ = word >> 11 exactly, so bit b of the word is floor(u·2⁶⁴⁻ᵇ) mod 2
+    scale = np.where(first, 2.0 ** (64 - 31), 2.0 ** (64 - 63))[is_sign]
+    out[is_sign] = np.floor(out[is_sign] * scale) % 2
+    return out.reshape(n, len(pattern))
+
+
+def _uniform(lo, hi, u):
+    return lo + (hi - lo) * u
+
+
+def _parameters(slots):
+    """Trial parameters w and signs from the last axis, ``"uu"`` or ``"uus"``."""
+    w = _uniform(-1.4, 1.4, slots[..., 0]) + 1j * _uniform(-1.4, 1.4, slots[..., 1])
+    if slots.shape[-1] == 2:
+        return w, np.ones(w.shape, np.int64)
+    return w, np.where(slots[..., 2] == 1, 1, -1)
+
+
+def _small_group_trials(kind, n, rng):
+    """The small-group trials in stream order: ``n`` group-law pairs
+    ``(w2, sign2)``, then ``n`` invariance trials ``(w, sign, E, B)``. An
+    isotropic parameter draws a sign after its w; a nonisotropic one does
+    not."""
+    param = "uu" if kind == nc.NONISOTROPIC else "uus"
+    m = len(param)
+    # two signs per group-law trial leave the 32-bit buffer empty
+    w2, sign2 = _parameters(_trial_words(rng, n, param * 2).reshape(n, 2, m))
+    inv = _trial_words(rng, n, param + "u" * 6)
+    w, sign = _parameters(inv[:, :m])
+    fields = _uniform(-1.0, 1.0, inv[:, m:])
+    # after an odd isotropic count, per-trial draws leave a half-word in the
+    # buffer and these leave none; no later draw reads it, because the
+    # covariance and duality checks draw only normals and doubles
+    return w2, sign2, w, sign, fields[:, :3], fields[:, 3:]
+
+
+def _elements(z):
+    # normal(size=4) is 0 + 1·z, which maps -0.0 to +0.0
+    z = z + 0.0
+    return z[..., :4] + 1j * z[..., 4:]
+
+
+# _accepts estimates |norm q| and Σ|qᵢ|² to within about 10·u·Σ|qᵢ|²/|norm q|
+# of numpy's values, relative (u = 2⁻⁵³), below 1e-11 for normals under 10;
+# only within this relative band of a threshold can the two rules disagree
+_ACCEPT_BAND = 1e-9
+
+
+def _accepts(z):
+    """The draw rule of a covariance element q = z[:4] + i·z[4:]:
+    |norm q| > 0.2 and Σ|qᵢ/√norm q|² ≤ 8, decided on Python floats."""
+    a0, a1, a2, a3, b0, b1, b2, b3 = z.tolist()
+    aa = a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3
+    bb = b0 * b0 + b1 * b1 + b2 * b2 + b3 * b3
+    m = math.hypot(aa - bb, 2.0 * (a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3))
+    if (abs(m - 0.2) > 0.2 * _ACCEPT_BAND
+            and abs(aa + bb - 8.0 * m) > 8.0 * m * _ACCEPT_BAND):
+        return m > 0.2 and aa + bb <= 8.0 * m
+    # near a threshold, numpy's rounding decides, as it did per trial
+    q = _elements(z)
+    n = norm(q)
+    return abs(n) > 0.2 and float(np.sum(np.abs(q / np.sqrt(n)) ** 2)) <= 8.0
+
+
+def _rand_unit_elements(rng, n):
+    """``n`` unit elements L with fields E, B in [-1, 1)³, as one trial after
+    another drew them: normals until an element is accepted, then 6 doubles."""
     # bounded Hermitian size: the covariance threshold is absolute, and the
-    # rounding error of a sandwich grows with the boost magnitude
-    while True:
-        q = rng.normal(size=4) + 1j * rng.normal(size=4)
-        n = norm(q)
-        if abs(n) > 0.2:
-            q = q / np.sqrt(n)
-            if float(np.sum(np.abs(q) ** 2)) <= 8.0:
-                return q
+    # rounding error of a sandwich grows with the boost magnitude. The
+    # ziggurat takes a variable number of words, so the normals stay per trial.
+    z = np.empty((n, 8))
+    u = np.empty((n, 6))
+    for i in range(n):
+        z[i] = rng.standard_normal(8)
+        while not _accepts(z[i]):
+            z[i] = rng.standard_normal(8)
+        u[i] = rng.random(6)
+    q = _elements(z)
+    fields = _uniform(-1.0, 1.0, u)
+    return q / np.sqrt(norm(q))[:, None], fields[:, :3], fields[:, 3:]
 
 
 def _running_max(acc, values):
@@ -177,14 +267,6 @@ def _element_for(d, value, sign=1):
     return sg.element(d, w=value, sign=sign)
 
 
-def _random_parameter(d, rng):
-    """One trial parameter and sign; the draws fix the RNG stream."""
-    z = complex(rng.uniform(-1.4, 1.4), rng.uniform(-1.4, 1.4))
-    if d.kind == nc.NONISOTROPIC:
-        return z, 1
-    return z, (-1, 1)[rng.integers(0, 2)]
-
-
 def _small_group_section(d, k, cfg, rng):
     samples = []
     max_stab = 0.0
@@ -198,14 +280,8 @@ def _small_group_section(d, k, cfg, rng):
             "stabilizer_residual": resid,
         })
 
-    # the trials are drawn one by one, in the order that fixes the RNG
-    # stream, and then checked as one batch
-    n = cfg.trials
-    w = np.empty((n, 2), np.complex128)
-    sign = np.empty((n, 2), np.int64)
-    for i in range(n):
-        w[i, 0], sign[i, 0] = _random_parameter(d, rng)
-        w[i, 1], sign[i, 1] = _random_parameter(d, rng)
+    # all trials are drawn first, then checked one batch per check
+    w, sign, w_inv, sign_inv, E, B = _small_group_trials(d.kind, cfg.trials, rng)
     e1 = _element_for(d, w[:, 0], sign[:, 0])
     e2 = _element_for(d, w[:, 1], sign[:, 1])
     max_stab = _running_max(max_stab, sg.stabilizes(e1, k))
@@ -216,13 +292,7 @@ def _small_group_section(d, k, cfg, rng):
     group_law = _running_max(0.0, law)
     abelian = _running_max(0.0, np.max(np.abs(mul(e1, e2) - mul(e2, e1)), axis=-1))
 
-    w = np.empty(n, np.complex128)
-    sign = np.empty(n, np.int64)
-    E, B = np.empty((n, 3)), np.empty((n, 3))
-    for i in range(n):
-        w[i], sign[i] = _random_parameter(d, rng)
-        E[i], B[i] = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
-    L = _element_for(d, w, sign)
+    L = _element_for(d, w_inv, sign_inv)
     invariance = _running_max(0.0, sg.verify_constitutive_invariance(k, L, E, B))
 
     section = {
@@ -243,12 +313,7 @@ def _small_group_section(d, k, cfg, rng):
 
 
 def _covariance_check(k, cfg, rng):
-    n = cfg.trials
-    L = np.empty((n, 4), np.complex128)
-    E, B = np.empty((n, 3)), np.empty((n, 3))
-    for i in range(n):
-        L[i] = _rand_unit_element(rng)
-        E[i], B[i] = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
+    L, E, B = _rand_unit_elements(rng, cfg.trials)
     return _running_max(0.0, ct.covariant_transport_check(k, L, E, B))
 
 

@@ -10,13 +10,14 @@ import pytest
 
 import nced
 from nced import algebra as alg
+from nced import cli
 from nced import constitutive as ct
 from nced import duality as du
 from nced import lorentz
 from nced import noncomm as nc
 from nced import smallgroup as sg
 
-from conftest import rand_nonisotropic_k, rand_unit_element
+from conftest import rand_isotropic_k, rand_nonisotropic_k, rand_unit_element
 
 
 # ---------------------------------------------------------------------------
@@ -297,3 +298,167 @@ def test_duality_scan_matches_rowwise_reference(kind):
     ref_chis = 2.0 * np.pi * np.arange(n) / n
     assert_same_bits(chis, ref_chis)
     assert_same_bits(res, ref_scan(state.G, state.R, k, ref_chis))
+
+
+# ---------------------------------------------------------------------------
+# bulk trial draws against the per-trial draws they replace
+#
+# The oracle is the analyzer's former per-trial code, kept verbatim: the
+# bulk draws must give the same trials and leave the generator where it
+# left it. ``has_uint32`` is not compared: after an odd isotropic count the
+# per-trial draws leave a half-word in PCG64's 32-bit buffer, which no later
+# draw reads.
+
+def _random_parameter(d, rng):
+    """One trial parameter and sign; the draws fix the RNG stream."""
+    z = complex(rng.uniform(-1.4, 1.4), rng.uniform(-1.4, 1.4))
+    if d.kind == nc.NONISOTROPIC:
+        return z, 1
+    return z, (-1, 1)[rng.integers(0, 2)]
+
+
+def _rand_unit_element(rng):
+    # bounded Hermitian size: the covariance threshold is absolute, and the
+    # rounding error of a sandwich grows with the boost magnitude
+    while True:
+        q = rng.normal(size=4) + 1j * rng.normal(size=4)
+        n = alg.norm(q)
+        if abs(n) > 0.2:
+            q = q / np.sqrt(n)
+            if float(np.sum(np.abs(q) ** 2)) <= 8.0:
+                return q
+
+
+def per_trial_draws(d, n, rng):
+    w = np.empty((n, 2), np.complex128)
+    sign = np.empty((n, 2), np.int64)
+    for i in range(n):
+        w[i, 0], sign[i, 0] = _random_parameter(d, rng)
+        w[i, 1], sign[i, 1] = _random_parameter(d, rng)
+    draws = [w, sign]
+
+    w = np.empty(n, np.complex128)
+    sign = np.empty(n, np.int64)
+    E, B = np.empty((n, 3)), np.empty((n, 3))
+    for i in range(n):
+        w[i], sign[i] = _random_parameter(d, rng)
+        E[i], B[i] = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
+    draws += [w, sign, E, B]
+
+    L = np.empty((n, 4), np.complex128)
+    E, B = np.empty((n, 3)), np.empty((n, 3))
+    for i in range(n):
+        L[i] = _rand_unit_element(rng)
+        E[i], B[i] = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
+    return draws + [L, E, B]
+
+
+def bulk_draws(d, n, rng):
+    return [*cli._small_group_trials(d.kind, n, rng), *cli._rand_unit_elements(rng, n)]
+
+
+def assert_same_stream(d, n, seed):
+    old, new = np.random.default_rng(seed), np.random.default_rng(seed)
+    for a, b in zip(per_trial_draws(d, n, old), bulk_draws(d, n, new), strict=True):
+        assert a.dtype == b.dtype
+        assert a.shape == b.shape
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), (n, seed)
+    assert old.bit_generator.state["state"] == new.bit_generator.state["state"]
+    assert np.array_equal(old.random(4), new.random(4))
+    assert np.array_equal(old.standard_normal(4), new.standard_normal(4))
+
+
+def describe_kind(kind):
+    rng = np.random.default_rng(9)
+    if kind == nc.NONISOTROPIC:
+        return sg.describe(rand_nonisotropic_k(rng))
+    return sg.describe(rand_isotropic_k(rng))
+
+
+@pytest.mark.parametrize("kind", [nc.NONISOTROPIC, nc.ISOTROPIC])
+def test_bulk_trial_draws_follow_the_per_trial_stream(kind):
+    d = describe_kind(kind)
+    for seed in range(200):
+        for n in (1, 2, 3, 7):
+            assert_same_stream(d, n, seed)
+
+
+@pytest.mark.parametrize("kind", [nc.NONISOTROPIC, nc.ISOTROPIC])
+def test_bulk_trial_draws_follow_the_per_trial_stream_at_2000(kind):
+    d = describe_kind(kind)
+    for seed in range(1000, 1005):
+        assert_same_stream(d, 2000, seed)
+
+
+def test_sign_draw_keeps_rng_stream():
+    """The trial sign is drawn as ``(-1, 1)[rng.integers(0, 2)]``; it must
+    consume the stream exactly as ``rng.choice([-1, 1])`` did."""
+    old, new = np.random.default_rng(11), np.random.default_rng(11)
+    for _ in range(500):
+        assert old.uniform(-1.4, 1.4) == new.uniform(-1.4, 1.4)
+        assert int(old.choice([-1, 1])) == (-1, 1)[new.integers(0, 2)]
+    assert old.uniform() == new.uniform()
+
+
+def per_trial_accepts(z):
+    """The per-trial rule of ``_rand_unit_element`` for one attempt."""
+    q = (z[:4] + 0.0) + 1j * (z[4:] + 0.0)
+    n = alg.norm(q)
+    if abs(n) > 0.2:
+        q = q / np.sqrt(n)
+        if float(np.sum(np.abs(q) ** 2)) <= 8.0:
+            return True
+    return False
+
+
+def abs_norm(z):
+    return abs(alg.norm(z[:4] + 1j * z[4:]))
+
+
+def size_ratio(z):
+    q = z[:4] + 1j * z[4:]
+    return float(np.sum(np.abs(q / np.sqrt(alg.norm(q))) ** 2))
+
+
+def boundary(path, lo, hi):
+    """The attempts at both sides of the last flip of ``per_trial_accepts``
+    along ``path(t)``, t in [lo, hi], found by bisection down to adjacent t,
+    with their three neighbours in t on each side."""
+    before = per_trial_accepts(path(lo))
+    assert per_trial_accepts(path(hi)) != before
+    while np.nextafter(lo, hi) != hi:
+        mid = 0.5 * (lo + hi)
+        if per_trial_accepts(path(mid)) == before:
+            lo = mid
+        else:
+            hi = mid
+    ts = [lo, hi]
+    for _ in range(3):
+        ts = [np.nextafter(ts[0], -np.inf), *ts, np.nextafter(ts[-1], np.inf)]
+    return [path(t) for t in ts]
+
+
+def test_unit_draw_rule_matches_per_trial_rule_at_its_thresholds():
+    """Attempts within 1e-12 of |norm q| = 0.2 and of Σ|qᵢ|²/|norm q| = 8,
+    on both sides, where the Python-float estimate alone would misjudge
+    some of them."""
+    rng = np.random.default_rng(12)
+    near_norm, near_size = [], []
+    while len(near_norm) < 20 * 8:
+        z = rng.standard_normal(8)
+        if 1.5 < size_ratio(z) < 6.0:
+            # |norm(t·z)| = t²·|norm z| crosses 0.2 once
+            t0 = np.sqrt(0.2 / abs_norm(z))
+            near_norm += boundary(lambda t: t * z, 0.5 * t0, 2.0 * t0)
+    while len(near_size) < 20 * 8:
+        a, b = rng.standard_normal(8), rng.standard_normal(8)
+        if size_ratio(a) < 4.0 and size_ratio(b) > 12.0:
+            a, b = a / np.sqrt(abs_norm(a)), b / np.sqrt(abs_norm(b))
+            zs = boundary(lambda t: (1.0 - t) * a + t * b, 0.0, 1.0)
+            if min(abs_norm(z) for z in zs) > 0.3:
+                near_size += zs
+    for zs, value, threshold in ((near_norm, abs_norm, 0.2), (near_size, size_ratio, 8.0)):
+        assert max(abs(value(z) / threshold - 1.0) for z in zs) <= 1e-12
+        accepted = [per_trial_accepts(z) for z in zs]
+        assert any(accepted) and not all(accepted)
+        assert [cli._accepts(z) for z in zs] == accepted

@@ -231,16 +231,6 @@ def test_tol_option_removed(tmp_path, capsys):
     assert not rep.exists()
 
 
-def test_sign_draw_keeps_rng_stream():
-    """The trial sign is drawn as ``(-1, 1)[rng.integers(0, 2)]``; it must
-    consume the stream exactly as ``rng.choice([-1, 1])`` did."""
-    old, new = np.random.default_rng(11), np.random.default_rng(11)
-    for _ in range(500):
-        assert old.uniform(-1.4, 1.4) == new.uniform(-1.4, 1.4)
-        assert int(old.choice([-1, 1])) == (-1, 1)[new.integers(0, 2)]
-    assert old.uniform() == new.uniform()
-
-
 # a nonisotropic, an isotropic and a zero input
 KINDS = [
     "epsilon: [0.2, 0.0, 0.1]\ntheta: [0.0, 0.3, 1.0]\n",

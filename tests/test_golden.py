@@ -8,7 +8,12 @@ import pytest
 from nced.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
-FLAGS = {"default": [], "trials2000": ["--trials", "2000"]}
+FLAGS = {"default": [], "trials1": ["--trials", "1"], "trials7": ["--trials", "7"],
+         "trials2000": ["--trials", "2000"]}
+# odd trial counts end the isotropic invariance draws on half a 32-bit word;
+# a zero input draws no trials
+CASES = [(kind, flags) for kind in ("nonisotropic", "isotropic", "zero") for flags in FLAGS
+         if kind != "zero" or flags in ("default", "trials2000")]
 
 
 def body(path):
@@ -16,8 +21,7 @@ def body(path):
                     if not line.startswith(b"generated_at:"))
 
 
-@pytest.mark.parametrize("flags", sorted(FLAGS))
-@pytest.mark.parametrize("kind", ["nonisotropic", "isotropic", "zero"])
+@pytest.mark.parametrize("kind, flags", CASES)
 def test_report_matches_golden(kind, flags, tmp_path, monkeypatch):
     # the report echoes the input path, so run where the golden run ran
     monkeypatch.chdir(GOLDEN)
