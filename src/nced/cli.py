@@ -36,7 +36,8 @@ from .algebra import mul, norm
 from .errors import InputFormatError, NcedError, NotAntisymmetricError
 from .tolerances import DEFAULT as TOL
 
-# the trial and scan checks allocate arrays proportional to these counts
+# the trial checks allocate arrays proportional to their count; the scan holds
+# about 32 B per angle (its angles, residuals and table) plus one block
 MAX_COUNT = 100_000
 
 # libyaml's emitter writes the same bytes as the pure-Python one, faster
@@ -365,14 +366,31 @@ def _duality_section(k, cfg, rng):
         "quarter_turn_residuals": quarter_res,
         "offgrid_min_residual": checks.offgrid_min(chis, residuals),
         "peak_residual": float(residuals.max()),
-        "table": np.column_stack((chis, residuals)).tolist(),
+        "table": np.column_stack((chis, residuals)),
     }
+
+
+def _blocks(table):
+    """``table`` in slices of ``du.SCAN_BLOCK`` rows, so that no writer builds
+    a list or string of every row."""
+    for a in range(0, len(table), du.SCAN_BLOCK):
+        yield table[a:a + du.SCAN_BLOCK]
+
+
+def _csv_rows(block):
+    """The CSV lines ``f"{chi:.12g},{r:.12g}\\n"`` of a block, in one ``%``."""
+    return ("%.12g,%.12g\n" * len(block)) % tuple(block.ravel().tolist())
 
 
 # ---------------------------------------------------------------------------
 
 def run_analysis(cfg):
-    """Run the full analysis; returns (report dict, exit code)."""
+    """Run the full analysis; returns (report dict, exit code).
+
+    The report's ``duality.table`` is the ``(scan_n, 2)`` float array of
+    ``[chi, residual]`` rows, not a list; every other value is a plain
+    Python value.
+    """
     cfg.validate()
     tv = load_input(cfg.input_path)
     rng = np.random.default_rng(cfg.seed)
@@ -431,8 +449,9 @@ def run_analysis(cfg):
                 rest, Dumper=_DUMPER, sort_keys=False).rpartition("\n  table: []\n")
             assert empty, "the dumped report has no empty duality table"
             fh.write(head + "\n  table:\n")
-            fh.write("".join(f"  - - {_yaml_float(chi)}\n    - {_yaml_float(r)}\n"
-                             for chi, r in table))
+            for block in _blocks(table):
+                fh.write("".join(f"  - - {_yaml_float(chi)}\n    - {_yaml_float(r)}\n"
+                                 for chi, r in block.tolist()))
             fh.write(tail)
     except OSError as exc:
         raise InputFormatError(f"cannot write report: {exc}") from exc
@@ -440,8 +459,8 @@ def run_analysis(cfg):
         try:
             with open(cfg.csv_path, "w") as fh:
                 fh.write("chi,residual\n")
-                for chi, r in table:
-                    fh.write(f"{chi:.12g},{r:.12g}\n")
+                for block in _blocks(table):
+                    fh.write(_csv_rows(block))
         except OSError as exc:
             raise InputFormatError(f"cannot write CSV: {exc}") from exc
 

@@ -24,6 +24,10 @@ from .algebra import _cmul, cdot
 from .errors import InconsistentInputError
 from .tolerances import DEFAULT as TOL
 
+# rows of the scan evaluated at once: each row holds about 500 B of
+# temporaries, so a block bounds the scan's working memory at about 0.25 MiB
+SCAN_BLOCK = 512
+
 
 class GRState(NamedTuple):
     G: np.ndarray
@@ -72,7 +76,8 @@ def constitutive_residual_gr(s, k):
 
 def duality_scan(s, k, n):
     """Residual after dual rotation on the uniform angle grid 2 pi j / n;
-    returns the arrays ``(chis, residuals)``.
+    returns the arrays ``(chis, residuals)``, evaluated ``SCAN_BLOCK``
+    angles at a time.
 
     The input state must satisfy the constitutive pair before rotation;
     otherwise InconsistentInputError is raised.
@@ -87,6 +92,11 @@ def duality_scan(s, k, n):
             f"state violates the constitutive pair before rotation (residual {pre:.3e})"
         )
     chis = 2.0 * np.pi * np.arange(n) / n
-    ph = np.exp(1j * chis)[:, None]
     G, R = np.asarray(s.G, np.complex128), np.asarray(s.R, np.complex128)
-    return chis, _gr_residual(ph * G, R / ph, ph * k)
+    residuals = np.empty(n)
+    # every step is elementwise or a reduction within a row, so a block gives
+    # the bits the whole grid would
+    for a in range(0, n, SCAN_BLOCK):
+        ph = np.exp(1j * chis[a:a + SCAN_BLOCK])[:, None]
+        residuals[a:a + SCAN_BLOCK] = _gr_residual(ph * G, R / ph, ph * k)
+    return chis, residuals

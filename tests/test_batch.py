@@ -300,6 +300,25 @@ def test_duality_scan_matches_rowwise_reference(kind):
     assert_same_bits(res, ref_scan(state.G, state.R, k, ref_chis))
 
 
+RAND_K = {nc.NONISOTROPIC: rand_nonisotropic_k, nc.ISOTROPIC: rand_isotropic_k,
+          nc.ZERO: lambda rng: np.zeros(3, complex)}
+
+
+@pytest.mark.parametrize("kind", list(RAND_K))
+def test_blocked_duality_scan_matches_whole_grid(kind):
+    """The scan, taken ``SCAN_BLOCK`` angles at a time, gives the bits of
+    ``_gr_residual`` on the whole grid in one call."""
+    rng = np.random.default_rng(9)
+    k = RAND_K[kind](rng)
+    f = ct.f_vector(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3))
+    state = du.gr_from_fh(f, ct.h_from_f(f, k))
+    b = du.SCAN_BLOCK
+    for n in (8, b - 1, b, b + 1, 2 * b + 1, 10_000):
+        chis, res = du.duality_scan(state, k, n)
+        ph = np.exp(1j * chis)[:, None]
+        assert_same_bits(res, du._gr_residual(ph * state.G, state.R / ph, ph * k))
+
+
 # ---------------------------------------------------------------------------
 # bulk trial draws against the per-trial draws they replace
 #

@@ -5,6 +5,7 @@ import inspect
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,10 @@ import pytest
 import yaml
 
 import nced.cli
-from nced.cli import MAX_COUNT, AnalysisConfig, _yaml_float, load_input, main, run_analysis
+from nced.cli import (MAX_COUNT, AnalysisConfig, _csv_rows, _yaml_float, load_input, main,
+                      run_analysis)
+from nced import constitutive as ct
+from nced import duality as du
 from nced import lorentz
 from nced import noncomm as nc
 from nced import smallgroup as sg
@@ -231,6 +235,11 @@ def test_tol_option_removed(tmp_path, capsys):
     assert not rep.exists()
 
 
+def table_as_list(report):
+    """Make the report's scan table, an array, the list PyYAML represents."""
+    report["duality"]["table"] = report["duality"]["table"].tolist()
+
+
 # a nonisotropic, an isotropic and a zero input
 KINDS = [
     "epsilon: [0.2, 0.0, 0.1]\ntheta: [0.0, 0.3, 1.0]\n",
@@ -244,24 +253,59 @@ KINDS = [
 def test_c_and_python_dumpers_write_the_same_bytes(tmp_path, text):
     inp = write_input(tmp_path / "in.yaml", text)
     report, _ = run_analysis(AnalysisConfig(inp, str(tmp_path / "r.yaml"), trials=20))
+    table_as_list(report)
     fast = yaml.dump(report, Dumper=yaml.CSafeDumper, sort_keys=False)
     assert fast == yaml.dump(report, Dumper=yaml.SafeDumper, sort_keys=False)
     assert fast == (tmp_path / "r.yaml").read_text()
 
 
-@pytest.mark.parametrize("scan_n", [8, 360, 10_000])
+@pytest.mark.parametrize("scan_n", [8, 360, du.SCAN_BLOCK + 1, 2 * du.SCAN_BLOCK + 1, 10_000])
 @pytest.mark.parametrize("text", KINDS)
 def test_scan_table_written_as_pyyaml_writes_it(tmp_path, text, scan_n):
     """The scan table is written without PyYAML's representer, in its bytes."""
     inp = write_input(tmp_path / "in.yaml", text)
     report, _ = run_analysis(
         AnalysisConfig(inp, str(tmp_path / "r.yaml"), scan_n=scan_n, trials=10))
-    assert len(report["duality"]["table"]) == scan_n
+    assert report["duality"]["table"].shape == (scan_n, 2)
+    table_as_list(report)
     expected = yaml.dump(report, Dumper=yaml.SafeDumper, sort_keys=False)
     # lines, not one string, so a failure names its first line without
     # a character diff of the whole report
     written = (tmp_path / "r.yaml").read_text()
     assert written.splitlines(keepends=True) == expected.splitlines(keepends=True)
+
+
+def test_csv_rows_match_per_row_format():
+    special = [0.0, -0.0, 1e16, 1e-05, 5e-324, float("nan"), float("inf"), float("-inf")]
+    bits = np.random.default_rng(1).integers(0, 2**64, size=20_000, dtype=np.uint64)
+    block = np.array(special + bits.view(np.float64).tolist()).reshape(-1, 2)
+    assert _csv_rows(block) == "".join(f"{chi:.12g},{r:.12g}\n" for chi, r in block.tolist())
+
+
+def traced_peak(fn):
+    """Peak bytes traced by tracemalloc while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# at the cap the scan peaks at about 1.8 MiB and a report at about 3.1 MiB,
+# 32 B per angle plus one block; the whole grid evaluated at once takes about
+# 50 MiB, and a list of every table row about 12 MiB more
+SCAN_MEMORY = 8 * 2**20
+
+
+def test_scan_memory_bounded_at_the_cap(tmp_path):
+    k = nc.k_from_vectors(load_input(write_input(tmp_path / "in.yaml", KINDS[0])))
+    f = ct.f_vector([0.3, -0.2, 0.5], [0.1, 0.4, -0.6])
+    state = du.gr_from_fh(f, ct.h_from_f(f, k))
+    assert traced_peak(lambda: du.duality_scan(state, k, MAX_COUNT)) < SCAN_MEMORY
+    cfg = AnalysisConfig(str(tmp_path / "in.yaml"), str(tmp_path / "r.yaml"),
+                         csv_path=str(tmp_path / "s.csv"), scan_n=MAX_COUNT, trials=10)
+    assert traced_peak(lambda: run_analysis(cfg)) < SCAN_MEMORY
 
 
 def test_yaml_float_matches_pyyaml():

@@ -39,3 +39,14 @@ def test_scan_csv_matches_golden(tmp_path, monkeypatch):
     assert code == 0
     assert csv.read_bytes() == (GOLDEN / "nonisotropic.scan.csv").read_bytes()
     assert body(report) == (GOLDEN / "nonisotropic.default.report.yaml").read_bytes()
+
+
+def test_scan_across_blocks_matches_golden(tmp_path, monkeypatch):
+    # 1500 angles span several scan blocks and end on a partial one
+    monkeypatch.chdir(GOLDEN)
+    report, csv = tmp_path / "report.yaml", tmp_path / "scan.csv"
+    code = main(["analyze", "--input", "nonisotropic.yaml", "--report", str(report),
+                 "--csv", str(csv), "--scan-n", "1500"])
+    assert code == 0
+    assert csv.read_bytes() == (GOLDEN / "nonisotropic.scan1500.csv").read_bytes()
+    assert body(report) == (GOLDEN / "nonisotropic.scan1500.report.yaml").read_bytes()
