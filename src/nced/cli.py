@@ -9,7 +9,8 @@ Exit codes: 0 all checks pass (or the zero-input note), 1 a physics check
 failed, 2 malformed input (including non-finite or boolean entries, an
 |K|^2 that overflows a float, ``--trials`` or ``--scan-n`` above
 ``MAX_COUNT``, a negative ``--seed``, a ``--report`` or ``--csv`` path that
-cannot be written, and unknown options).
+cannot be written, an input file that is not valid UTF-8 or UTF-16, and
+unknown options).
 
 The sections below only compute report values; every pass bound is a row of
 ``nced.checks.verdicts``.
@@ -17,10 +18,20 @@ The sections below only compute report values; every pass bound is a row of
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Optional
+
+# Loading numpy starts OpenBLAS's pool of nproc - 1 worker threads, about 70 ms
+# of a one-shot run, and no nced kernel is large enough to use them (every BLAS
+# call is a dot of 3-vectors; one thread gives the same bits). So the CLI loads
+# numpy with one BLAS thread, unless the user chose a count. Where numpy is
+# loaded already, the variable would reach only child processes: leave it.
+if ("numpy" not in sys.modules
+        and not {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys()):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 import yaml
@@ -121,7 +132,8 @@ def _numeric(doc, key, shape):
 
 def load_input(path):
     try:
-        with open(path) as fh:
+        # bytes, so that PyYAML detects the encoding and reports a bad one
+        with open(path, "rb") as fh:
             doc = yaml.safe_load(fh)
     except OSError as exc:
         raise InputFormatError(f"cannot read input: {exc}") from exc

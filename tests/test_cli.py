@@ -101,6 +101,17 @@ def test_bad_yaml_rejected(tmp_path):
     assert code == 2
 
 
+def test_input_not_utf8_exit_2(tmp_path, capsys):
+    inp = tmp_path / "in.yaml"
+    inp.write_bytes(b"epsilon: [0, 0, 0]\ntheta: [0, 0, 1]\n# \xff\xfe\x80\n")
+    rep = tmp_path / "report.yaml"
+    assert main(["analyze", "--input", str(inp), "--report", str(rep)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: input is not valid YAML: ")
+    assert err.count("error") == 1
+    assert not rep.exists()
+
+
 def test_matrix_input_matches_vector_input(tmp_path):
     tv = nc.ThetaVectors(np.array([0.1, -0.2, 0.3]), np.array([0.5, 0.0, -0.4]))
     t = nc.tensor_from_vectors(tv)

@@ -1,6 +1,9 @@
 """Reports and CSVs stay byte-identical, apart from ``generated_at``, to the
 golden files in ``tests/data/golden`` (see the README there)."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -50,3 +53,21 @@ def test_scan_across_blocks_matches_golden(tmp_path, monkeypatch):
     assert code == 0
     assert csv.read_bytes() == (GOLDEN / "nonisotropic.scan1500.csv").read_bytes()
     assert body(report) == (GOLDEN / "nonisotropic.scan1500.report.yaml").read_bytes()
+
+
+@pytest.mark.parametrize("blas_threads", [None, "2"])
+@pytest.mark.parametrize("kind", ["nonisotropic", "isotropic", "zero"])
+def test_module_entry_point_matches_golden(kind, blas_threads, tmp_path):
+    # the real entry point: the lazy package import, __main__ and the CLI's
+    # choice of BLAS threads, with the user's thread count or without one
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    report = tmp_path / "report.yaml"
+    out = subprocess.run([sys.executable, "-m", "nced", "analyze", "--input", f"{kind}.yaml",
+                          "--report", str(report)],
+                         cwd=GOLDEN, env=env, capture_output=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stderr == b""
+    assert body(report) == (GOLDEN / f"{kind}.default.report.yaml").read_bytes()
