@@ -163,57 +163,33 @@ def load_input(path):
 
 # The trials are drawn in bulk, but from the stream exactly as one call per
 # draw would take it: ``rng.uniform(lo, hi)`` and ``rng.random()`` read one
-# 64-bit word each, ``lo + (hi - lo)·u`` with u = (word >> 11)·2⁻⁵³, and
-# ``rng.integers(0, 2)`` reads half a word through PCG64's 32-bit buffer.
-# The first sign of a pair draws a new word and takes its bit 31; the next
-# takes bit 63 of the same word. Doubles do not touch the buffer.
-
-def _trial_words(rng, n, pattern):
-    """``n`` trials of ``pattern`` from one ``rng.random`` call, shape
-    ``(n, len(pattern))``: a ``"u"`` slot holds the u of a double draw, an
-    ``"s"`` slot the bit of an ``integers(0, 2)`` draw. The 32-bit buffer
-    must be empty on entry."""
-    is_sign = np.tile([c == "s" for c in pattern], n)
-    first = is_sign & (np.cumsum(is_sign) % 2 == 1)
-    second = is_sign & ~first
-    word = np.cumsum(~second) - 1
-    word[second] = word[first][:np.count_nonzero(second)]
-    u = rng.random(np.count_nonzero(~second))
-    out = u[word]
-    # u·2⁵³ = word >> 11 exactly, so bit b of the word is floor(u·2⁶⁴⁻ᵇ) mod 2
-    scale = np.where(first, 2.0 ** (64 - 31), 2.0 ** (64 - 63))[is_sign]
-    out[is_sign] = np.floor(out[is_sign] * scale) % 2
-    return out.reshape(n, len(pattern))
-
+# 64-bit word each, ``lo + (hi - lo)·u`` with u = (word >> 11)·2⁻⁵³. The
+# isotropic trials also drew a sign of L, half a word each from PCG64's
+# 32-bit buffer; −L acts as L does, so those words are drawn and dropped.
 
 def _uniform(lo, hi, u):
     return lo + (hi - lo) * u
 
 
-def _parameters(slots):
-    """Trial parameters w and signs from the last axis, ``"uu"`` or ``"uus"``."""
-    w = _uniform(-1.4, 1.4, slots[..., 0]) + 1j * _uniform(-1.4, 1.4, slots[..., 1])
-    if slots.shape[-1] == 2:
-        return w, np.ones(w.shape, np.int64)
-    return w, np.where(slots[..., 2] == 1, 1, -1)
+def _parameter(u):
+    return _uniform(-1.4, 1.4, u[..., 0]) + 1j * _uniform(-1.4, 1.4, u[..., 1])
 
 
 def _small_group_trials(kind, n, rng):
-    """The small-group trials in stream order: ``n`` group-law pairs
-    ``(w2, sign2)``, then ``n`` invariance trials ``(w, sign, E, B)``. An
-    isotropic parameter draws a sign after its w; a nonisotropic one does
-    not."""
-    param = "uu" if kind == nc.NONISOTROPIC else "uus"
-    m = len(param)
-    # two signs per group-law trial leave the 32-bit buffer empty
-    w2, sign2 = _parameters(_trial_words(rng, n, param * 2).reshape(n, 2, m))
-    inv = _trial_words(rng, n, param + "u" * 6)
-    w, sign = _parameters(inv[:, :m])
-    fields = _uniform(-1.0, 1.0, inv[:, m:])
+    """The small-group trials in stream order: ``n`` group-law pairs ``w2``,
+    then ``n`` invariance trials ``(w, E, B)``."""
+    if kind == nc.NONISOTROPIC:
+        law, inv = rng.random((n, 4)), rng.random((n, 8))
+    else:
+        # the two signs of a group-law trial share its word 2 of 5; two
+        # invariance trials share a sign word, at offset 2 of their 17
+        law = np.delete(rng.random((n, 5)), 2, axis=1)
+        inv = np.delete(rng.random(8 * n + (n + 1) // 2), np.s_[2::17]).reshape(n, 8)
     # after an odd isotropic count, per-trial draws leave a half-word in the
     # buffer and these leave none; no later draw reads it, because the
     # covariance and duality checks draw only normals and doubles
-    return w2, sign2, w, sign, fields[:, :3], fields[:, 3:]
+    fields = _uniform(-1.0, 1.0, inv[:, 2:])
+    return _parameter(law.reshape(n, 2, 2)), _parameter(inv[:, :2]), fields[:, :3], fields[:, 3:]
 
 
 def _elements(z):
@@ -268,22 +244,22 @@ def _running_max(acc, values):
     return float(np.fmax.reduce(np.ravel(values), initial=acc))
 
 
-def _sample_parameters(kind):
+def _samples(kind):
     if kind == nc.NONISOTROPIC:
         return [("chi", 0.5 + 0.0j), ("chi", 0.5j), ("chi", 0.5 + 0.5j)]
     return [("w", 1.0 + 0.0j), ("w", 1.0j)]
 
 
-def _element_for(d, value, sign=1):
+def _element_for(d, value):
     if d.kind == nc.NONISOTROPIC:
         return sg.element(d, chi=value)
-    return sg.element(d, w=value, sign=sign)
+    return sg.element(d, w=value)
 
 
 def _small_group_section(d, k, cfg, rng):
     samples = []
     max_stab = 0.0
-    for name, value in _sample_parameters(d.kind):
+    for name, value in _samples(d.kind):
         L = _element_for(d, value)
         resid = float(sg.stabilizes(L, k))
         max_stab = max(max_stab, resid)
@@ -294,18 +270,14 @@ def _small_group_section(d, k, cfg, rng):
         })
 
     # all trials are drawn first, then checked one batch per check
-    w, sign, w_inv, sign_inv, E, B = _small_group_trials(d.kind, cfg.trials, rng)
-    e1 = _element_for(d, w[:, 0], sign[:, 0])
-    e2 = _element_for(d, w[:, 1], sign[:, 1])
+    w, w_inv, E, B = _small_group_trials(d.kind, cfg.trials, rng)
+    e1 = _element_for(d, w[:, 0])
+    e2 = _element_for(d, w[:, 1])
     max_stab = _running_max(max_stab, sg.stabilizes(e1, k))
-    if d.kind == nc.NONISOTROPIC:
-        law = sg.group_law_check(d, w[:, 0], w[:, 1])
-    else:
-        law = sg.group_law_check(d, (w[:, 0], sign[:, 0]), (w[:, 1], sign[:, 1]))
-    group_law = _running_max(0.0, law)
+    group_law = _running_max(0.0, sg.group_law_check(d, w[:, 0], w[:, 1]))
     abelian = _running_max(0.0, np.max(np.abs(mul(e1, e2) - mul(e2, e1)), axis=-1))
 
-    L = _element_for(d, w_inv, sign_inv)
+    L = _element_for(d, w_inv)
     invariance = _running_max(0.0, sg.verify_constitutive_invariance(k, L, E, B))
 
     section = {

@@ -5,7 +5,7 @@ For a nonisotropic K the group is the two-parameter Abelian family
 ``phi = conj(K) = theta + i*epsilon`` and complex angle ``chi``; its real and
 imaginary parts generate a rotation and a boost about the same (generally
 complex) axis.  For an isotropic K (``K.K = 0``) the group is
-``L = +-(1 + w * phi)``, an additive copy of the complex plane.
+``L = 1 + w * phi``, an additive copy of the complex plane; ``-L`` acts as L.
 
 One ``canonical_form`` serves any non-null K, of either kind.
 """
@@ -43,25 +43,21 @@ def describe(k):
     return SmallGroupDescriptor(kind=kind, phi_hat=phi / ssq, sqrt_square=ssq)
 
 
-def element(d, chi=None, w=None, sign=1):
+def element(d, chi=None, w=None):
     """One stabilizer element, or a batch ``[..., 4]`` for array parameters.
 
-    Nonisotropic descriptors take a complex angle ``chi`` and no sign, since
-    ``-L(chi) = L(chi + pi)``; isotropic ones a complex displacement ``w`` and
-    an overall ``sign`` of +-1.
+    Nonisotropic descriptors take a complex angle ``chi``, isotropic ones a
+    complex displacement ``w``: ``L = 1 + w * phi``, and ``-L`` acts as L.
     """
     if d.kind == noncomm.NONISOTROPIC:
-        if chi is None or w is not None or np.any(np.asarray(sign) != 1):
-            raise KindMismatchError("nonisotropic small group is parametrized by chi alone")
+        if chi is None or w is not None:
+            raise KindMismatchError("nonisotropic small group is parametrized by chi")
         chi = np.asarray(chi, np.complex128)
         return quat(np.cos(chi), np.sin(chi)[..., None] * d.phi_hat)
     if chi is not None or w is None:
-        raise KindMismatchError("isotropic small group is parametrized by w (and sign)")
-    sign = np.asarray(sign)
-    if not np.all((sign == 1) | (sign == -1)):
-        raise KindMismatchError("sign must be +1 or -1")
+        raise KindMismatchError("isotropic small group is parametrized by w")
     w = np.asarray(w, np.complex128)
-    return sign[..., None] * quat(1.0, w[..., None] * d.phi)
+    return quat(1.0, w[..., None] * d.phi)
 
 
 def stabilizes(L, k):
@@ -73,19 +69,10 @@ def stabilizes(L, k):
 
 def group_law_check(d, p1, p2):
     """Defect of the additive parameter law under actual composition, per
-    pair of (arrays of) parameters."""
-    if d.kind == noncomm.NONISOTROPIC:
-        p1, p2 = np.asarray(p1, np.complex128), np.asarray(p2, np.complex128)
-        e1 = element(d, chi=p1)
-        e2 = element(d, chi=p2)
-        target = element(d, chi=p1 + p2)
-    else:
-        w1, s1 = p1 if isinstance(p1, tuple) else (p1, 1)
-        w2, s2 = p2 if isinstance(p2, tuple) else (p2, 1)
-        w1, w2 = np.asarray(w1, np.complex128), np.asarray(w2, np.complex128)
-        e1 = element(d, w=w1, sign=s1)
-        e2 = element(d, w=w2, sign=s2)
-        target = element(d, w=w1 + w2, sign=s1 * s2)
+    pair of (arrays of) parameters, chi or w by the kind of ``d``."""
+    name = "chi" if d.kind == noncomm.NONISOTROPIC else "w"
+    p1, p2 = np.asarray(p1, np.complex128), np.asarray(p2, np.complex128)
+    e1, e2, target = (element(d, **{name: p}) for p in (p1, p2, p1 + p2))
     return np.max(np.abs(mul(e1, e2) - target), axis=-1)
 
 

@@ -143,8 +143,8 @@ def test_criterion_05_stabilizer_correctness():
                     (complex(rng.uniform(-2, 2), rng.uniform(-2, 2)), int(rng.choice([-1, 1])))
                     for _ in range(3)
                 ]
-                elements = [sg.element(d, w=w, sign=s) for w, s in params]
-                worst_law = max(worst_law, sg.group_law_check(d, params[0], params[1]))
+                elements = [s * sg.element(d, w=w) for w, s in params]
+                worst_law = max(worst_law, sg.group_law_check(d, params[0][0], params[1][0]))
             for L in elements:
                 worst_stab = max(worst_stab, sg.stabilizes(L, k))
             comm = alg.mul(elements[0], elements[1]) - alg.mul(elements[1], elements[0])
@@ -180,9 +180,8 @@ def test_criterion_06_form_invariance_and_covariance():
                     L = sg.element(d, chi=complex(rng.uniform(-1.4, 1.4),
                                                   rng.uniform(-1.4, 1.4)))
                 else:
-                    L = sg.element(d, w=complex(rng.uniform(-1.4, 1.4),
-                                                rng.uniform(-1.4, 1.4)),
-                                   sign=int(rng.choice([-1, 1])))
+                    w = complex(rng.uniform(-1.4, 1.4), rng.uniform(-1.4, 1.4))
+                    L = int(rng.choice([-1, 1])) * sg.element(d, w=w)
                 E, B = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
                 worst_inv = max(worst_inv, sg.verify_constitutive_invariance(k, L, E, B))
     assert worst_inv <= 1e-12
@@ -252,7 +251,7 @@ def test_criterion_07_group_structure():
         d = sg.describe(k)
         p1 = (complex(rng.uniform(-2, 2), rng.uniform(-2, 2)), int(rng.choice([-1, 1])))
         p2 = (complex(rng.uniform(-2, 2), rng.uniform(-2, 2)), int(rng.choice([-1, 1])))
-        worst_t2 = max(worst_t2, sg.group_law_check(d, p1, p2))
+        worst_t2 = max(worst_t2, sg.group_law_check(d, p1[0], p2[0]))
     assert worst_t2 <= 1e-12
     _passed(7, f"rotation-by-2a / boost-by-2b factor matrices ({worst_rot:.2e}, "
                f"{worst_boost:.2e}); isotropic displacement law {worst_t2:.2e}")

@@ -246,14 +246,17 @@ def test_smallgroup_kernels_match_rowwise_reference(kind):
         target = [ref_element(d, chi=complex(a) + complex(b)) for a, b in z]
         law = sg.group_law_check(d, z[:, 0], z[:, 1])
     else:
-        e1 = sg.element(d, w=z[:, 0], sign=sign[:, 0])
-        e2 = sg.element(d, w=z[:, 1], sign=sign[:, 1])
+        # signed elements, -L being the other sheet of L; an integer sign
+        # times 1 + 0j keeps the +0.0 that unary minus would flip
+        e1 = sign[:, :1] * sg.element(d, w=z[:, 0])
+        e2 = sign[:, 1:] * sg.element(d, w=z[:, 1])
         ref1 = [ref_element(d, w=w, sign=int(s)) for w, s in zip(z[:, 0], sign[:, 0])]
         ref2 = [ref_element(d, w=w, sign=int(s)) for w, s in zip(z[:, 1], sign[:, 1])]
         target = [ref_element(d, w=complex(a) + complex(b), sign=int(s * t))
                   for (a, b), (s, t) in zip(z, sign)]
-        law = sg.group_law_check(d, (z[:, 0], sign[:, 0]), (z[:, 1], sign[:, 1]))
-        assert_same_bits(sg.element(d, w=z[0, 0], sign=-1), ref_element(d, w=z[0, 0], sign=-1))
+        # the unsigned defect has the bits of the signed one
+        law = sg.group_law_check(d, z[:, 0], z[:, 1])
+        assert_same_bits(-1 * sg.element(d, w=z[0, 0]), ref_element(d, w=z[0, 0], sign=-1))
     assert_same_bits(e1, ref1)
     assert_same_bits(e2, ref2)
     assert_same_bits(law, [float(np.max(np.abs(ref_mul(a, b) - t)))
@@ -322,11 +325,12 @@ def test_blocked_duality_scan_matches_whole_grid(kind):
 # ---------------------------------------------------------------------------
 # bulk trial draws against the per-trial draws they replace
 #
-# The oracle is the analyzer's former per-trial code, kept verbatim: the
-# bulk draws must give the same trials and leave the generator where it
-# left it. ``has_uint32`` is not compared: after an odd isotropic count the
-# per-trial draws leave a half-word in PCG64's 32-bit buffer, which no later
-# draw reads.
+# The oracle is the analyzer's former per-trial code, kept verbatim with its
+# isotropic signs: the bulk draws must give the same w, E, B and L and leave
+# the generator where it left it, which shows that the words they drop are
+# the sign words. ``has_uint32`` is not compared: after an odd isotropic
+# count the per-trial draws leave a half-word in PCG64's 32-bit buffer, which
+# no later draw reads.
 
 def _random_parameter(d, rng):
     """One trial parameter and sign; the draws fix the RNG stream."""
@@ -378,7 +382,8 @@ def bulk_draws(d, n, rng):
 
 def assert_same_stream(d, n, seed):
     old, new = np.random.default_rng(seed), np.random.default_rng(seed)
-    for a, b in zip(per_trial_draws(d, n, old), bulk_draws(d, n, new), strict=True):
+    w2, _, w, _, *rest = per_trial_draws(d, n, old)
+    for a, b in zip([w2, w, *rest], bulk_draws(d, n, new), strict=True):
         assert a.dtype == b.dtype
         assert a.shape == b.shape
         assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), (n, seed)

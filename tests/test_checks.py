@@ -132,7 +132,7 @@ def test_small_inputs_still_separate_members(kind, m):
     if d.kind == nc.NONISOTROPIC:
         member = sg.element(d, chi=0.5 + 0.5j)
     else:
-        member = sg.element(d, w=1.0 + 1.0j, sign=-1)
+        member = -1 * sg.element(d, w=1.0 + 1.0j)
     assert float(sg.stabilizes(member, k)) <= bound["stabilizer"]
     nonmember = checks.nonmember_residual(k)
     assert nonmember >= bound["distinguishes_nonmembers"]

@@ -60,8 +60,7 @@ def test_element_isotropic_norm_exact():
     L = sg.element(d, w=0.3 + 0.2j)
     assert abs(alg.norm(L) - 1.0) <= 1e-14
     assert np.max(np.abs(L[1:] - (0.3 + 0.2j) * d.phi)) == 0.0
-    Lm = sg.element(d, w=0.3 + 0.2j, sign=-1)
-    assert np.array_equal(Lm, -L)
+    assert L[0] == 1.0
 
 
 def test_element_kind_mismatch():
@@ -69,10 +68,8 @@ def test_element_kind_mismatch():
     d = sg.describe(rand_nonisotropic_k(rng))
     with pytest.raises(KindMismatchError):
         sg.element(d, w=1.0)
-    with pytest.raises(KindMismatchError):   # -L(chi) is L(chi + pi)
-        sg.element(d, chi=0.3, sign=-1)
     with pytest.raises(KindMismatchError):
-        sg.element(d, chi=[0.3, 0.4], sign=[1, -1])
+        sg.element(d, chi=0.3, w=1.0)
     di = sg.describe(rand_isotropic_k(rng))
     with pytest.raises(KindMismatchError):
         sg.element(di, chi=1.0)
@@ -89,7 +86,7 @@ def test_stabilizes_members():
         k = rand_isotropic_k(rng)
         d = sg.describe(k)
         w = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        assert sg.stabilizes(sg.element(d, w=w, sign=-1), k) <= 1e-12 * (1 + abs(w)) ** 2
+        assert sg.stabilizes(-1 * sg.element(d, w=w), k) <= 1e-12 * (1 + abs(w)) ** 2
 
 
 def test_stabilizes_identity_exactly():
@@ -123,9 +120,10 @@ def test_group_law_isotropic():
     d = sg.describe(k)
     assert sg.group_law_check(d, 1 + 1j, 2 - 1j) <= 1e-12
     for _ in range(100):
+        # the signs keep the draws; -L composes to the same defect
         p1 = (complex(rng.uniform(-2, 2), rng.uniform(-2, 2)), int(rng.choice([-1, 1])))
         p2 = (complex(rng.uniform(-2, 2), rng.uniform(-2, 2)), int(rng.choice([-1, 1])))
-        assert sg.group_law_check(d, p1, p2) <= 1e-12
+        assert sg.group_law_check(d, p1[0], p2[0]) <= 1e-12
 
 
 def test_abelian():
@@ -144,7 +142,7 @@ def test_isotropic_nilpotency():
     k = rand_isotropic_k(rng)
     d = sg.describe(k)
     for w, sign in [(1.0 + 0j, 1), (2.0 - 1.0j, -1), (0.5j, 1)]:
-        L = sg.element(d, w=w, sign=sign)
+        L = sign * sg.element(d, w=w)
         shifted = L - sign * alg.ONE
         sq = alg.mul(shifted, shifted)
         assert np.max(np.abs(sq)) <= 1e-13 * max(1.0, np.max(np.abs(shifted)) ** 2)
@@ -289,14 +287,43 @@ def test_invariance_members():
                         d, chi=complex(rng.uniform(-1.4, 1.4), rng.uniform(-1.4, 1.4))
                     )
                 else:
-                    L = sg.element(
-                        d,
-                        w=complex(rng.uniform(-1.4, 1.4), rng.uniform(-1.4, 1.4)),
-                        sign=int(rng.choice([-1, 1])),
-                    )
+                    w = complex(rng.uniform(-1.4, 1.4), rng.uniform(-1.4, 1.4))
+                    L = int(rng.choice([-1, 1])) * sg.element(d, w=w)
                 E, B = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
                 resid = sg.verify_constitutive_invariance(k, L, E, B)
                 assert resid <= 1e-12 * max(1.0, lo.abs2(L) ** 3)
+
+
+def test_negated_isotropic_elements_give_the_same_residual_bits():
+    """-L is the other sheet of the double cover of L = 1 + w*phi and acts as
+    L does: negation is exact, so every residual the analyzer forms has the
+    same bits for -L, and the element needs no sign."""
+    rng = np.random.default_rng(16)
+    n = 50
+
+    def residuals(L1, L2, target, k, E, B):
+        comm = alg.mul(L1, L2) - alg.mul(L2, L1)
+        return [sg.stabilizes(L1, k), sg.verify_constitutive_invariance(k, L1, E, B),
+                np.max(np.abs(comm), axis=-1),
+                np.max(np.abs(alg.mul(L1, L2) - target), axis=-1)]
+
+    for m in 10.0 ** np.arange(-8, 9):
+        k = m * rand_isotropic_k(rng)
+        d = sg.describe(k)
+        assert d.kind == nc.ISOTROPIC
+        w = rng.uniform(-1.4, 1.4, (n, 2)) + 1j * rng.uniform(-1.4, 1.4, (n, 2))
+        E, B = rng.uniform(-1, 1, (n, 3)), rng.uniform(-1, 1, (n, 3))
+        L1, L2 = sg.element(d, w=w[:, 0]), sg.element(d, w=w[:, 1])
+        target = sg.element(d, w=w[:, 0] + w[:, 1])
+        plain = residuals(L1, L2, target, k, E, B)
+        assert all(np.all(np.isfinite(r)) for r in plain)
+        assert np.array_equal(plain[3].view(np.uint64),
+                              sg.group_law_check(d, w[:, 0], w[:, 1]).view(np.uint64))
+        for flip1, flip2 in ((True, False), (False, True), (True, True)):
+            signed = residuals(-L1 if flip1 else L1, -L2 if flip2 else L2,
+                               -target if flip1 != flip2 else target, k, E, B)
+            for r, q in zip(plain, signed):
+                assert np.array_equal(r.view(np.uint64), q.view(np.uint64)), (m, flip1, flip2)
 
 
 def test_invariance_nonmember_boost():
