@@ -27,7 +27,6 @@ _EXPORTS = {
     "noncomm": ("KInvariants", "ThetaVectors", "classify", "invariants", "k_from_vectors"),
     "smallgroup": ("SmallGroupDescriptor", "canonical_form", "describe", "element",
                    "stabilizes"),
-    "tolerances": (),
 }
 
 # public name -> the submodule that defines it

@@ -2,6 +2,11 @@
 its residual Lorentz group, reduce it to canonical form and scan the dual
 rotation, writing a structured YAML report (optionally a CSV of the scan).
 
+``analyze`` builds one report in memory and opens no file, ``write_report``
+and ``write_csv`` write it, and ``run_analysis`` is load, analyze, write.
+perfbench's tracer wraps this module's functions by name and times the writes
+through the ``open`` they look up here, so all of them stay in this module.
+
 Input file (YAML): either a 4x4 ``theta_matrix`` or a pair of 3-vectors
 ``epsilon`` / ``theta`` (mutually exclusive).
 
@@ -9,8 +14,8 @@ Exit codes: 0 all checks pass (or the zero-input note), 1 a physics check
 failed, 2 malformed input (including non-finite or boolean entries, an
 |K|^2 that overflows a float, ``--trials`` or ``--scan-n`` above
 ``MAX_COUNT``, a negative ``--seed``, a ``--report`` or ``--csv`` path that
-cannot be written, an input file that is not valid UTF-8 or UTF-16, and
-unknown options).
+cannot be written, an input file that is not valid UTF-8 or UTF-16, an
+input nested too deeply for the parser, and unknown options).
 
 The sections below only compute report values; every pass bound is a row of
 ``nced.checks.verdicts``.
@@ -20,9 +25,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Optional
 
 # Loading numpy starts OpenBLAS's pool of nproc - 1 worker threads, about 70 ms
 # of a one-shot run, and no nced kernel is large enough to use them (every BLAS
@@ -45,7 +48,6 @@ from . import noncomm as nc
 from . import smallgroup as sg
 from .algebra import mul, norm
 from .errors import InputFormatError, NcedError, NotAntisymmetricError
-from .tolerances import DEFAULT as TOL
 
 # the trial checks allocate arrays proportional to their count; the scan holds
 # about 32 B per angle (its angles, residuals and table) plus one block
@@ -53,24 +55,6 @@ MAX_COUNT = 100_000
 
 # libyaml's emitter writes the same bytes as the pure-Python one, faster
 _DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
-
-
-@dataclass
-class AnalysisConfig:
-    input_path: str
-    report_path: str
-    csv_path: Optional[str] = None
-    scan_n: int = 360
-    trials: int = 100
-    seed: int = 42
-
-    def validate(self):
-        if not 8 <= self.scan_n <= MAX_COUNT:
-            raise InputFormatError(f"scan resolution must lie in [8, {MAX_COUNT}]")
-        if not 1 <= self.trials <= MAX_COUNT:
-            raise InputFormatError(f"trial count must lie in [1, {MAX_COUNT}]")
-        if self.seed < 0:
-            raise InputFormatError("seed must be a non-negative integer")
 
 
 # ---------------------------------------------------------------------------
@@ -134,11 +118,17 @@ def load_input(path):
     try:
         # bytes, so that PyYAML detects the encoding and reports a bad one
         with open(path, "rb") as fh:
-            doc = yaml.safe_load(fh)
+            return _theta_vectors(yaml.safe_load(fh))
     except OSError as exc:
         raise InputFormatError(f"cannot read input: {exc}") from exc
     except yaml.YAMLError as exc:
         raise InputFormatError(f"input is not valid YAML: {exc}") from exc
+    except RecursionError as exc:
+        # PyYAML's parser and _has_bool recurse once per level of nesting
+        raise InputFormatError("input is nested too deeply") from exc
+
+
+def _theta_vectors(doc):
     if not isinstance(doc, dict):
         raise InputFormatError("input must be a mapping")
     has_matrix = "theta_matrix" in doc
@@ -256,7 +246,7 @@ def _element_for(d, value):
     return sg.element(d, w=value)
 
 
-def _small_group_section(d, k, cfg, rng):
+def _small_group_section(d, k, trials, rng):
     samples = []
     max_stab = 0.0
     for name, value in _samples(d.kind):
@@ -270,7 +260,7 @@ def _small_group_section(d, k, cfg, rng):
         })
 
     # all trials are drawn first, then checked one batch per check
-    w, w_inv, E, B = _small_group_trials(d.kind, cfg.trials, rng)
+    w, w_inv, E, B = _small_group_trials(d.kind, trials, rng)
     e1 = _element_for(d, w[:, 0])
     e2 = _element_for(d, w[:, 1])
     max_stab = _running_max(max_stab, sg.stabilizes(e1, k))
@@ -297,8 +287,8 @@ def _small_group_section(d, k, cfg, rng):
     return section
 
 
-def _covariance_check(k, cfg, rng):
-    L, E, B = _rand_unit_elements(rng, cfg.trials)
+def _covariance_check(k, trials, rng):
+    L, E, B = _rand_unit_elements(rng, trials)
     return _running_max(0.0, ct.covariant_transport_check(k, L, E, B))
 
 
@@ -333,12 +323,12 @@ def _factorization_section(d):
     }
 
 
-def _duality_section(k, cfg, rng):
+def _duality_section(k, scan_n, rng):
     E, B = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
     f = ct.f_vector(E, B)
     h = ct.h_from_f(f, k)
     state = du.gr_from_fh(f, h)
-    chis, residuals = du.duality_scan(state, k, cfg.scan_n)
+    chis, residuals = du.duality_scan(state, k, scan_n)
 
     quarter_res = []
     for j in range(4):
@@ -346,7 +336,7 @@ def _duality_section(k, cfg, rng):
         quarter_res.append(du.constitutive_residual_gr(rotated, k_rot))
 
     return {
-        "scan_n": cfg.scan_n,
+        "scan_n": scan_n,
         "quarter_turn_residuals": quarter_res,
         "offgrid_min_residual": checks.offgrid_min(chis, residuals),
         "peak_residual": float(residuals.max()),
@@ -368,16 +358,22 @@ def _csv_rows(block):
 
 # ---------------------------------------------------------------------------
 
-def run_analysis(cfg):
-    """Run the full analysis; returns (report dict, exit code).
+def analyze(tv, path, scan_n, trials, seed):
+    """The report of the noncommutativity vectors ``tv``, built in memory:
+    no file is read or written, and ``path`` is only echoed as
+    ``input.path``. A count out of range or a negative seed raises
+    InputFormatError.
 
-    The report's ``duality.table`` is the ``(scan_n, 2)`` float array of
-    ``[chi, residual]`` rows, not a list; every other value is a plain
-    Python value.
+    ``duality.table`` is the ``(scan_n, 2)`` float array of ``[chi,
+    residual]`` rows, not a list; every other value is a plain Python value.
     """
-    cfg.validate()
-    tv = load_input(cfg.input_path)
-    rng = np.random.default_rng(cfg.seed)
+    if not 8 <= scan_n <= MAX_COUNT:
+        raise InputFormatError(f"scan resolution must lie in [8, {MAX_COUNT}]")
+    if not 1 <= trials <= MAX_COUNT:
+        raise InputFormatError(f"trial count must lie in [1, {MAX_COUNT}]")
+    if seed < 0:
+        raise InputFormatError("seed must be a non-negative integer")
+    rng = np.random.default_rng(seed)
 
     k = nc.k_from_vectors(tv)
     inv = nc.invariants(k)
@@ -387,16 +383,16 @@ def run_analysis(cfg):
         "generated_at": datetime.now(timezone.utc).isoformat(),
         "tool_version": __version__,
         "input": {
-            "path": str(cfg.input_path),
+            "path": str(path),
             "epsilon": _fv(tv.epsilon),
             "theta": _fv(tv.theta),
             "theta_matrix": _mat(nc.tensor_from_vectors(tv)),
         },
         "config": {
-            "scan_n": cfg.scan_n,
-            "trials": cfg.trials,
-            "seed": cfg.seed,
-            "classify_tol": TOL.classify,
+            "scan_n": scan_n,
+            "trials": trials,
+            "seed": seed,
+            "classify_tol": nc.CLASSIFY_TOL,
         },
         "k_vector": _cv(k),
         "invariants": {
@@ -412,23 +408,25 @@ def run_analysis(cfg):
                           "Lorentz group and continuous dual rotations survive")
     else:
         d = sg.describe(k)
-        report["small_group"] = _small_group_section(d, k, cfg, rng)
-        report["covariant_transport_residual"] = _covariance_check(k, cfg, rng)
+        report["small_group"] = _small_group_section(d, k, trials, rng)
+        report["covariant_transport_residual"] = _covariance_check(k, trials, rng)
         report["canonical_form"] = _canonical_section(d, k)
         report["factorization"] = _factorization_section(d)
 
-    report["duality"] = _duality_section(k, cfg, rng)
+    report["duality"] = _duality_section(k, scan_n, rng)
     report["checks"] = checks.verdicts(report, k)
+    report["status"] = "pass" if all(report["checks"].values()) else "fail"
+    return report
 
-    ok = all(report["checks"].values())
-    report["status"] = "pass" if ok else "fail"
 
+def write_report(report, path):
+    """Write ``report`` as YAML, in the bytes ``yaml.dump`` would write."""
     # PyYAML's representer builds one node per float, so the scan table is
     # written here, in the bytes it would write, in place of an empty one
     table = report["duality"]["table"]
     rest = {**report, "duality": {**report["duality"], "table": []}}
     try:
-        with open(cfg.report_path, "w") as fh:
+        with open(path, "w") as fh:
             head, empty, tail = yaml.dump(
                 rest, Dumper=_DUMPER, sort_keys=False).rpartition("\n  table: []\n")
             assert empty, "the dumped report has no empty duality table"
@@ -439,16 +437,29 @@ def run_analysis(cfg):
             fh.write(tail)
     except OSError as exc:
         raise InputFormatError(f"cannot write report: {exc}") from exc
-    if cfg.csv_path:
-        try:
-            with open(cfg.csv_path, "w") as fh:
-                fh.write("chi,residual\n")
-                for block in _blocks(table):
-                    fh.write(_csv_rows(block))
-        except OSError as exc:
-            raise InputFormatError(f"cannot write CSV: {exc}") from exc
 
-    return report, 0 if ok else 1
+
+def write_csv(table, path):
+    """Write the scan ``table`` as ``chi,residual`` rows."""
+    try:
+        with open(path, "w") as fh:
+            fh.write("chi,residual\n")
+            for block in _blocks(table):
+                fh.write(_csv_rows(block))
+    except OSError as exc:
+        raise InputFormatError(f"cannot write CSV: {exc}") from exc
+
+
+def run_analysis(args):
+    """``nced analyze`` on the parsed options ``args``: load ``args.input``,
+    analyze it, write ``args.report`` and, if given, ``args.csv``. Returns
+    (report, exit code): 0 when the report passes, 1 when a check fails.
+    """
+    report = analyze(load_input(args.input), args.input, args.scan_n, args.trials, args.seed)
+    write_report(report, args.report)
+    if args.csv:
+        write_csv(report["duality"]["table"], args.csv)
+    return report, 0 if report["status"] == "pass" else 1
 
 
 # ---------------------------------------------------------------------------
@@ -477,16 +488,8 @@ def main(argv=None):
     if unknown:
         print(f"input error: unrecognized arguments: {' '.join(unknown)}", file=sys.stderr)
         return 2
-    cfg = AnalysisConfig(
-        input_path=args.input,
-        report_path=args.report,
-        csv_path=args.csv,
-        scan_n=args.scan_n,
-        trials=args.trials,
-        seed=args.seed,
-    )
     try:
-        report, code = run_analysis(cfg)
+        report, code = run_analysis(args)
     except (InputFormatError, NotAntisymmetricError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
@@ -495,7 +498,7 @@ def main(argv=None):
         return 1
     n_pass = sum(report["checks"].values())
     print(f"{report['status']}: {report['classification']}; "
-          f"checks {n_pass}/{len(report['checks'])}; report {cfg.report_path}")
+          f"checks {n_pass}/{len(report['checks'])}; report {args.report}")
     return code
 
 

@@ -22,11 +22,14 @@ import numpy as np
 
 from .algebra import _cmul, cdot
 from .errors import InconsistentInputError
-from .tolerances import DEFAULT as TOL
 
 # rows of the scan evaluated at once: each row holds about 500 B of
 # temporaries, so a block bounds the scan's working memory at about 0.25 MiB
 SCAN_BLOCK = 512
+
+# a scanned state must meet the constitutive pair to this bound, times
+# max(1, |G|, |R|)^2
+CONSISTENCY_TOL = 1e-10
 
 
 class GRState(NamedTuple):
@@ -87,7 +90,7 @@ def duality_scan(s, k, n):
     k = np.asarray(k, np.complex128)
     pre = constitutive_residual_gr(s, k)
     scale = max(1.0, float(np.max(np.abs(s.G))), float(np.max(np.abs(s.R)))) ** 2
-    if pre > TOL.duality_consistency * scale:
+    if pre > CONSISTENCY_TOL * scale:
         raise InconsistentInputError(
             f"state violates the constitutive pair before rotation (residual {pre:.3e})"
         )

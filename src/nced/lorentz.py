@@ -22,9 +22,13 @@ import numpy as np
 
 from . import algebra as alg
 from .errors import DegenerateError, NotUnitError
-from .tolerances import DEFAULT as TOL
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
+
+# unit biquaternions: norm defect above which construction fails / below
+# which the element is accepted without renormalization
+UNIT_REJECT = 1e-9
+UNIT_CLEAN = 1e-12
 
 
 def identity():
@@ -44,9 +48,9 @@ def make_element(k0, k):
     """
     L = alg.quat(k0, np.asarray(k, np.complex128))
     defect = abs(alg.norm(L) - 1.0)
-    if defect > TOL.unit_reject:
-        raise NotUnitError(f"norm defect {defect:.3e} exceeds {TOL.unit_reject:.1e}")
-    if defect > TOL.unit_clean:
+    if defect > UNIT_REJECT:
+        raise NotUnitError(f"norm defect {defect:.3e} exceeds {UNIT_REJECT:.1e}")
+    if defect > UNIT_CLEAN:
         L = L / np.sqrt(alg.norm(L))
     return L
 

@@ -14,11 +14,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NotAntisymmetricError
-from .tolerances import DEFAULT as TOL
 
 NONISOTROPIC = "nonisotropic"
 ISOTROPIC = "isotropic"
 ZERO = "zero"
+
+# the classification boundary of a noncommutativity vector, absolute for
+# |K| and relative for |K.K|
+CLASSIFY_TOL = 1e-9
 
 
 class ThetaVectors(NamedTuple):
@@ -81,12 +84,12 @@ def invariants(k):
 
 
 def classify(k):
-    """Zero (|K| <= TOL.classify), isotropic (|K.K| <= TOL.classify * |K|^2)
+    """Zero (|K| <= CLASSIFY_TOL), isotropic (|K.K| <= CLASSIFY_TOL * |K|^2)
     or nonisotropic."""
     k = np.asarray(k, np.complex128)
     mag2 = float(np.sum(np.abs(k) ** 2))
-    if np.sqrt(mag2) <= TOL.classify:
+    if np.sqrt(mag2) <= CLASSIFY_TOL:
         return ZERO
-    if abs(k @ k) <= TOL.classify * mag2:
+    if abs(k @ k) <= CLASSIFY_TOL * mag2:
         return ISOTROPIC
     return NONISOTROPIC

@@ -1,4 +1,4 @@
-"""Acceptance criteria, one test per criterion, at the stated tolerances.
+"""Acceptance criteria, one test per criterion, at the stated bounds.
 
 Each test prints one ACCEPTANCE n PASS/FAIL line (pytest -s or -rA shows
 them); a failure is also an ordinary assertion failure.
@@ -18,7 +18,7 @@ from nced import lorentz as lo
 from nced import maxwell as mx
 from nced import noncomm as nc
 from nced import smallgroup as sg
-from nced.cli import AnalysisConfig, run_analysis
+from nced.cli import analyze, write_report
 
 from conftest import rand_isotropic_k, rand_nonisotropic_k, rand_unit_element
 from test_algebra import mul_oracle, rand_quat
@@ -343,11 +343,9 @@ def test_criterion_10_so3c_and_lorentz_matrices():
 @criterion(11, "CLI contract")
 def test_criterion_11_cli(tmp_path):
     # nonisotropic example
-    (tmp_path / "a.yaml").write_text("epsilon: [0.0, 0.0, 0.0]\ntheta: [0.0, 0.0, 1.0]\n")
-    cfg = AnalysisConfig(str(tmp_path / "a.yaml"), str(tmp_path / "a.out"),
-                         trials=25, seed=42)
-    report, code = run_analysis(cfg)
-    assert code == 0
+    example = nc.ThetaVectors(np.zeros(3), np.array([0.0, 0.0, 1.0]))
+    report = analyze(example, "a.yaml", scan_n=360, trials=25, seed=42)
+    assert report["status"] == "pass"
     assert report["classification"] == "nonisotropic"
     phi_hat = np.array([complex(x, y) for x, y in report["small_group"]["phi_hat"]])
     assert np.max(np.abs(phi_hat - [0, 0, 1])) <= 1e-12
@@ -355,13 +353,10 @@ def test_criterion_11_cli(tmp_path):
     assert report["small_group"]["max_invariance_residual"] <= 1e-11
     assert max(report["duality"]["quarter_turn_residuals"]) <= 1e-11
 
-    # zero input: note, no small-group section, exit 0
-    (tmp_path / "b.yaml").write_text(
-        "theta_matrix: [[0,0,0,0],[0,0,0,0],[0,0,0,0],[0,0,0,0]]\n")
-    cfg = AnalysisConfig(str(tmp_path / "b.yaml"), str(tmp_path / "b.out"),
-                         trials=25, seed=42)
-    report, code = run_analysis(cfg)
-    assert code == 0
+    # zero input: note, no small-group section, passes (exit 0)
+    zero = nc.vectors_from_tensor(np.zeros((4, 4)))
+    report = analyze(zero, "b.yaml", scan_n=360, trials=25, seed=42)
+    assert report["status"] == "pass"
     assert report["classification"] == "zero"
     assert "small_group" not in report and "note" in report
 
@@ -378,9 +373,8 @@ def test_criterion_11_cli(tmp_path):
     # byte determinism modulo the timestamp line
     bodies = []
     for _ in range(2):
-        cfg = AnalysisConfig(str(tmp_path / "a.yaml"), str(tmp_path / "det.out"),
-                             trials=25, seed=42)
-        run_analysis(cfg)
+        write_report(analyze(example, "a.yaml", scan_n=360, trials=25, seed=42),
+                     tmp_path / "det.out")
         text = (tmp_path / "det.out").read_text()
         bodies.append("\n".join(l for l in text.splitlines()
                                 if not l.startswith("generated_at:")))

@@ -12,7 +12,7 @@ import yaml
 from nced import checks
 from nced import noncomm as nc
 from nced import smallgroup as sg
-from nced.cli import main
+from nced.cli import analyze
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 REPORTS = sorted(GOLDEN.glob("*.report.yaml"))
@@ -114,14 +114,11 @@ def small_k(kind, m):
 
 
 @pytest.mark.parametrize("kind,m", SMALL)
-def test_small_inputs_pass(kind, m, tmp_path):
-    tv = small_k(kind, m)
-    inp, rep = tmp_path / "in.yaml", tmp_path / "report.yaml"
-    inp.write_text(f"epsilon: {tv.epsilon.tolist()}\ntheta: {tv.theta.tolist()}\n")
-    assert main(["analyze", "--input", str(inp), "--report", str(rep)]) == 0
-    report = yaml.safe_load(rep.read_text())
+def test_small_inputs_pass(kind, m):
+    # nced analyze's default flags
+    report = analyze(small_k(kind, m), "in.yaml", scan_n=360, trials=100, seed=42)
     assert report["classification"] == kind
-    assert all(report["checks"].values())
+    assert report["status"] == "pass" and all(report["checks"].values())
 
 
 @pytest.mark.parametrize("kind,m", SMALL)

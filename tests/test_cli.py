@@ -13,8 +13,8 @@ import pytest
 import yaml
 
 import nced.cli
-from nced.cli import (MAX_COUNT, AnalysisConfig, _csv_rows, _yaml_float, load_input, main,
-                      run_analysis)
+from nced.cli import (MAX_COUNT, _csv_rows, _yaml_float, analyze, load_input, main, write_csv,
+                      write_report)
 from nced import constitutive as ct
 from nced import duality as du
 from nced import lorentz
@@ -28,6 +28,13 @@ ROOT = Path(__file__).resolve().parents[1]
 def write_input(path, text):
     path.write_text(text)
     return str(path)
+
+
+def vectors(text):
+    """The noncommutativity vectors of an input in vector form, as
+    ``load_input`` reads them, without a file."""
+    doc = yaml.safe_load(text)
+    return nc.ThetaVectors(np.asarray(doc["epsilon"], float), np.asarray(doc["theta"], float))
 
 
 def run(tmp_path, text, name="in.yaml", **kw):
@@ -122,12 +129,11 @@ def test_matrix_input_matches_vector_input(tmp_path):
 
 
 def test_csv_emission(tmp_path):
-    inp = write_input(tmp_path / "in.yaml", "epsilon: [0, 0, 0]\ntheta: [0, 0, 1]\n")
+    report = analyze(vectors("epsilon: [0, 0, 0]\ntheta: [0, 0, 1]\n"), "in.yaml",
+                     scan_n=36, trials=5, seed=42)
+    assert report["status"] == "pass"
     csv = tmp_path / "scan.csv"
-    cfg = AnalysisConfig(inp, str(tmp_path / "r.yaml"), csv_path=str(csv),
-                         scan_n=36, trials=5)
-    _, code = run_analysis(cfg)
-    assert code == 0
+    write_csv(report["duality"]["table"], csv)
     lines = csv.read_text().strip().splitlines()
     assert lines[0] == "chi,residual"
     assert len(lines) == 37
@@ -196,7 +202,14 @@ OVERFLOWING = [
 ]
 
 
-@pytest.mark.parametrize("text", NON_FINITE + BOOLEAN + OVERFLOWING)
+# lists nested too deeply for PyYAML's parser, and for _has_bool's recursion
+NESTED = [
+    pytest.param(f"epsilon: [0, 0, 0]\ntheta: {'[' * depth}1{']' * depth}\n", id=f"nested-{depth}")
+    for depth in (450, 2000)
+]
+
+
+@pytest.mark.parametrize("text", NON_FINITE + BOOLEAN + OVERFLOWING + NESTED)
 def test_non_finite_or_boolean_input_exit_2(tmp_path, capsys, text):
     # main returns instead of raising, so no traceback is printed
     code, rep = run(tmp_path, text)
@@ -228,11 +241,12 @@ def test_canonical_form_of_nearly_real_axis(tmp_path, eps, theta):
 
 @pytest.mark.parametrize("field", ["trials", "scan_n"])
 def test_counts_capped(tmp_path, field):
-    cfg = AnalysisConfig("in.yaml", "out.yaml", **{field: MAX_COUNT})
-    cfg.validate()
-    setattr(cfg, field, MAX_COUNT + 1)
-    with pytest.raises(InputFormatError):
-        cfg.validate()
+    # a zero input draws no trials, so a run at the cap is quick
+    zero = vectors("epsilon: [0, 0, 0]\ntheta: [0, 0, 0]\n")
+    counts = {"scan_n": 360, "trials": 20, "seed": 42}
+    assert analyze(zero, "in.yaml", **{**counts, field: MAX_COUNT})["status"] == "pass"
+    with pytest.raises(InputFormatError, match=f"must lie in .*{MAX_COUNT}"):
+        analyze(zero, "in.yaml", **{**counts, field: MAX_COUNT + 1})
     flag = field.replace("_", "-")
     code, _ = run(tmp_path, "epsilon: [0, 0, 0]\ntheta: [0, 0, 1]\n", **{flag: MAX_COUNT + 1})
     assert code == 2
@@ -262,8 +276,8 @@ KINDS = [
 @pytest.mark.skipif(not hasattr(yaml, "CSafeDumper"), reason="PyYAML built without libyaml")
 @pytest.mark.parametrize("text", KINDS)
 def test_c_and_python_dumpers_write_the_same_bytes(tmp_path, text):
-    inp = write_input(tmp_path / "in.yaml", text)
-    report, _ = run_analysis(AnalysisConfig(inp, str(tmp_path / "r.yaml"), trials=20))
+    report = analyze(vectors(text), "in.yaml", scan_n=360, trials=20, seed=42)
+    write_report(report, tmp_path / "r.yaml")
     table_as_list(report)
     fast = yaml.dump(report, Dumper=yaml.CSafeDumper, sort_keys=False)
     assert fast == yaml.dump(report, Dumper=yaml.SafeDumper, sort_keys=False)
@@ -274,9 +288,8 @@ def test_c_and_python_dumpers_write_the_same_bytes(tmp_path, text):
 @pytest.mark.parametrize("text", KINDS)
 def test_scan_table_written_as_pyyaml_writes_it(tmp_path, text, scan_n):
     """The scan table is written without PyYAML's representer, in its bytes."""
-    inp = write_input(tmp_path / "in.yaml", text)
-    report, _ = run_analysis(
-        AnalysisConfig(inp, str(tmp_path / "r.yaml"), scan_n=scan_n, trials=10))
+    report = analyze(vectors(text), "in.yaml", scan_n=scan_n, trials=10, seed=42)
+    write_report(report, tmp_path / "r.yaml")
     assert report["duality"]["table"].shape == (scan_n, 2)
     table_as_list(report)
     expected = yaml.dump(report, Dumper=yaml.SafeDumper, sort_keys=False)
@@ -310,13 +323,38 @@ SCAN_MEMORY = 8 * 2**20
 
 
 def test_scan_memory_bounded_at_the_cap(tmp_path):
-    k = nc.k_from_vectors(load_input(write_input(tmp_path / "in.yaml", KINDS[0])))
+    tv = vectors(KINDS[0])
+    k = nc.k_from_vectors(tv)
     f = ct.f_vector([0.3, -0.2, 0.5], [0.1, 0.4, -0.6])
     state = du.gr_from_fh(f, ct.h_from_f(f, k))
     assert traced_peak(lambda: du.duality_scan(state, k, MAX_COUNT)) < SCAN_MEMORY
-    cfg = AnalysisConfig(str(tmp_path / "in.yaml"), str(tmp_path / "r.yaml"),
-                         csv_path=str(tmp_path / "s.csv"), scan_n=MAX_COUNT, trials=10)
-    assert traced_peak(lambda: run_analysis(cfg)) < SCAN_MEMORY
+
+    def analyze_and_write():
+        report = analyze(tv, "in.yaml", scan_n=MAX_COUNT, trials=10, seed=42)
+        write_report(report, tmp_path / "r.yaml")
+        write_csv(report["duality"]["table"], tmp_path / "s.csv")
+
+    assert traced_peak(analyze_and_write) < SCAN_MEMORY
+
+
+@pytest.mark.parametrize("text", KINDS)
+def test_analyze_is_pure(tmp_path, monkeypatch, text):
+    """``analyze`` opens no file, and ``write_report`` of its report writes
+    the bytes that ``nced analyze`` writes for the same input and flags."""
+    code, rep = run(tmp_path, text)
+    assert code == 0
+    inp = str(tmp_path / "in.yaml")
+    tv = load_input(inp)
+
+    def no_file(*args, **kwargs):
+        raise AssertionError(f"analyze opened {args[0]}")
+
+    with monkeypatch.context() as m:
+        m.setattr(nced.cli, "open", no_file, raising=False)
+        report = analyze(tv, inp, scan_n=360, trials=20, seed=42)
+    write_report(report, tmp_path / "analyze.yaml")
+    written = strip_timestamp((tmp_path / "analyze.yaml").read_text())
+    assert written.splitlines() == strip_timestamp(rep.read_text()).splitlines()
 
 
 def test_yaml_float_matches_pyyaml():
@@ -387,10 +425,22 @@ def load_tracer():
     return tracer
 
 
-def test_tracer_cli_spans_are_cli_functions():
-    # perfbench/run.py --trace 1 wraps these nced.cli helpers by name
-    for name in load_tracer().CLI_SPANS:
+def test_tracer_cli_spans_are_cli_functions(tmp_path):
+    # perfbench/run.py --trace 1 wraps these nced.cli helpers by name, and
+    # times the writes through the open it places in nced.cli
+    tracer = load_tracer()
+    for name in tracer.CLI_SPANS:
         assert callable(getattr(nced.cli, name, None)), name
+    inp = write_input(tmp_path / "in.yaml", KINDS[0])
+    report, csv = str(tmp_path / "r.yaml"), str(tmp_path / "s.csv")
+    traced = tracer.Tracer()
+    with traced.installed({report: "cli.report_write", csv: "cli.csv_write"}):
+        # the traced main is the one bound in nced.cli
+        code = nced.cli.main(["analyze", "--input", inp, "--report", report, "--csv", csv,
+                              "--trials", "5"])
+    assert code == 0
+    spans = [*tracer.CLI_SPANS.values(), "cli.report_write", "cli.csv_write"]
+    assert {span: traced.stats.get(span, [0])[0] for span in spans} == dict.fromkeys(spans, 1)
 
 
 def test_benchmark_layer_metrics_name_nced_functions():

@@ -19,7 +19,7 @@ BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 EAGER_EXPORTS = {
     "algebra": "algebra", "constitutive": "constitutive", "duality": "duality",
     "errors": "errors", "lorentz": "lorentz", "noncomm": "noncomm",
-    "smallgroup": "smallgroup", "tolerances": "tolerances",
+    "smallgroup": "smallgroup",
     **dict.fromkeys(("conj_complex", "conj_components", "conj_quat", "mul", "norm", "quat",
                      "scalar_part", "sym_scalar", "vector_part"), "algebra"),
     **dict.fromkeys(("ExcitationState", "FieldState", "forward", "inverse"), "constitutive"),
