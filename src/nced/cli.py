@@ -116,7 +116,10 @@ def _numeric(doc, key, shape):
 
 def load_input(path):
     try:
-        # bytes, so that PyYAML detects the encoding and reports a bad one
+        # bytes, so that PyYAML detects the encoding and reports a bad one.
+        # The pure-Python loader stays: its recursion ends in RecursionError at
+        # any depth, where libyaml's CSafeLoader (x86_64, PyYAML 6) parses
+        # 10 000 levels but dies with SIGSEGV at 100 000.
         with open(path, "rb") as fh:
             return _theta_vectors(yaml.safe_load(fh))
     except OSError as exc:
@@ -215,14 +218,15 @@ def _rand_unit_elements(rng, n):
     another drew them: normals until an element is accepted, then 6 doubles."""
     # bounded Hermitian size: the covariance threshold is absolute, and the
     # rounding error of a sandwich grows with the boost magnitude. The
-    # ziggurat takes a variable number of words, so the normals stay per trial.
+    # ziggurat takes a variable number of words, so the normals stay per trial,
+    # drawn in place: ``out=`` reads the same words as a sized call.
     z = np.empty((n, 8))
     u = np.empty((n, 6))
     for i in range(n):
-        z[i] = rng.standard_normal(8)
+        rng.standard_normal(out=z[i])
         while not _accepts(z[i]):
-            z[i] = rng.standard_normal(8)
-        u[i] = rng.random(6)
+            rng.standard_normal(out=z[i])
+        rng.random(out=u[i])
     q = _elements(z)
     fields = _uniform(-1.0, 1.0, u)
     return q / np.sqrt(norm(q))[:, None], fields[:, :3], fields[:, 3:]

@@ -1,17 +1,24 @@
-"""Start-up: the package loads its submodules on first use, and the CLI loads
-numpy with one BLAS thread unless the user chose a thread count."""
+"""Start-up and exit: the package loads its submodules on first use, the CLI
+loads numpy with one BLAS thread unless the user chose a thread count, and
+the process entry freezes the garbage collector before teardown."""
 
+import gc
 import importlib
+import importlib.metadata
 import json
 import os
+import runpy
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import nced
+import nced.cli
 
+ROOT = Path(__file__).resolve().parents[1]
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 # every name the package bound when it imported its submodules eagerly, with
@@ -38,12 +45,12 @@ EAGER_EXPORTS = {
 
 def child(code, **env_vars):
     """Run ``python -c code`` with the BLAS variables unset apart from
-    ``env_vars``, and return what it printed as JSON."""
+    ``env_vars``, and return the last line it printed, read as JSON."""
     env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
     env.update(env_vars)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
-    return json.loads(out.stdout)
+    return json.loads(out.stdout.splitlines()[-1])
 
 
 def _openblas():
@@ -86,3 +93,70 @@ def test_lazy_exports_match_the_eager_ones():
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         nced.no_such_name
+
+
+PASSING = "epsilon: [0, 0, 0]\ntheta: [0, 0, 1]\n"
+FAILING = "epsilon: [0, -10.0, 0]\ntheta: [10.0, 0, 0]\n"
+# PyYAML's parser recurses once per level; libyaml's crashes at this depth
+DEEP = f"epsilon: [0, 0, 0]\ntheta: {'[' * 100_000}1{']' * 100_000}\n"
+
+
+def test_main_in_process_leaves_the_collector_alone(tmp_path):
+    inp = tmp_path / "in.yaml"
+    inp.write_text(FAILING)
+    enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+    code = nced.cli.main(["analyze", "--input", str(inp), "--report", str(tmp_path / "r.yaml")])
+    assert code == 1
+    assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+
+
+def test_run_returns_the_code_of_main_and_freezes(tmp_path):
+    inp = tmp_path / "in.yaml"
+    inp.write_text(FAILING)
+    argv = ["nced", "analyze", "--input", str(inp), "--report", str(tmp_path / "r.yaml")]
+    got = child(f"import gc, json, sys; sys.argv = {argv!r}; from nced.__main__ import run; "
+                "before = gc.get_freeze_count(); code = run(); "
+                "print(json.dumps([before, code, gc.get_freeze_count()]))")
+    assert got[:2] == [0, 1]
+    assert got[2] > 0
+
+
+@pytest.mark.parametrize("text, code, out", [
+    pytest.param(PASSING, 0, "pass: nonisotropic; checks 10/10; report r.yaml\n", id="pass"),
+    pytest.param(FAILING, 1, "fail: isotropic; checks 9/10; report r.yaml\n", id="fail"),
+    pytest.param(DEEP, 2, "", id="nested-100000"),
+])
+def test_module_entry_exit_codes_with_stdout_piped(tmp_path, text, code, out):
+    # stdout to a pipe is block-buffered, so the summary reaches it only
+    # through the flush of a normal exit
+    (tmp_path / "in.yaml").write_text(text)
+    proc = subprocess.run([sys.executable, "-m", "nced", "analyze", "--input", "in.yaml",
+                           "--report", "r.yaml"], cwd=tmp_path, capture_output=True,
+                          text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (code, out)
+    if code == 2:
+        assert proc.stderr == "input error: input is nested too deeply\n"
+        assert not (tmp_path / "r.yaml").exists()
+    else:
+        assert proc.stderr == ""
+
+
+def test_script_and_module_run_one_entry(monkeypatch):
+    tomllib = pytest.importorskip("tomllib")
+    target = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]["nced"]
+    script = importlib.metadata.EntryPoint("nced", target, "console_scripts").load()
+    # what ``python -m nced`` runs: __main__.py executed as __main__, with a
+    # stand-in for main that records its caller
+    callers, frozen = [], []
+
+    def main():
+        callers.append(sys._getframe(1).f_code)
+        return 3
+
+    monkeypatch.setattr(nced.cli, "main", main)
+    monkeypatch.setattr(gc, "freeze", lambda: frozen.append(len(callers)))
+    monkeypatch.delitem(sys.modules, "nced.__main__", raising=False)
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_module("nced", run_name="__main__")
+    assert exit_.value.code == 3
+    assert callers == [script.__code__] and frozen == [1]
