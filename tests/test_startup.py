@@ -1,9 +1,9 @@
-"""Start-up and exit: the package loads its submodules on first use, the CLI
-loads numpy with one BLAS thread unless the user chose a thread count, and
-the process entry freezes the garbage collector before teardown."""
+"""Start-up and exit: ``import nced`` binds no submodule and loads no numpy,
+``-X importtime`` times each module that the CLI imports, the CLI loads numpy
+with one BLAS thread unless the user chose a thread count, and the process
+entry freezes the garbage collector before teardown."""
 
 import gc
-import importlib
 import importlib.metadata
 import json
 import os
@@ -21,26 +21,10 @@ import nced.cli
 ROOT = Path(__file__).resolve().parents[1]
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
-# every name the package bound when it imported its submodules eagerly, with
-# the submodule that defines it (a submodule name maps to itself)
-EAGER_EXPORTS = {
-    "algebra": "algebra", "constitutive": "constitutive", "duality": "duality",
-    "errors": "errors", "lorentz": "lorentz", "noncomm": "noncomm",
-    "smallgroup": "smallgroup",
-    **dict.fromkeys(("conj_complex", "conj_components", "conj_quat", "mul", "norm", "quat",
-                     "scalar_part", "sym_scalar", "vector_part"), "algebra"),
-    **dict.fromkeys(("ExcitationState", "FieldState", "forward", "inverse"), "constitutive"),
-    **dict.fromkeys(("GRState", "dual_rotate", "duality_scan"), "duality"),
-    **dict.fromkeys(("DegenerateError", "InconsistentInputError", "InputFormatError",
-                     "KindMismatchError", "NcedError", "NotAntisymmetricError",
-                     "NotUnitError", "ZeroKError"), "errors"),
-    **dict.fromkeys(("act_four_vector", "act_vector", "boost", "compose", "factorize",
-                     "lorentz_matrix4", "make_element", "rotation", "so3c_matrix"), "lorentz"),
-    **dict.fromkeys(("KInvariants", "ThetaVectors", "classify", "invariants",
-                     "k_from_vectors"), "noncomm"),
-    **dict.fromkeys(("SmallGroupDescriptor", "canonical_form", "describe", "element",
-                     "stabilizes"), "smallgroup"),
-}
+# the package's submodules other than its entries (``cli``, ``__main__``) and
+# ``maxwell``, which the CLI does not import
+SUBMODULES = ("algebra", "checks", "constitutive", "duality", "errors", "lorentz", "noncomm",
+              "smallgroup")
 
 
 def child(code, **env_vars):
@@ -73,21 +57,38 @@ def test_cli_import_starts_no_blas_worker(preset, threads):
 
 def test_library_import_leaves_blas_threading_alone():
     got = child("import json, os, sys, nced; bare = 'numpy' in sys.modules; "
-                "from nced import lorentz, mul; print(json.dumps([bare, 'numpy' in sys.modules, "
+                "from nced import lorentz; from nced.algebra import mul; "
+                "print(json.dumps([bare, 'numpy' in sys.modules, "
                 "os.environ.get('OPENBLAS_NUM_THREADS'), lorentz.__name__, mul.__module__]))")
     assert got == [False, True, None, "nced.lorentz", "nced.algebra"]
 
 
-def test_lazy_exports_match_the_eager_ones():
-    for name, module in EAGER_EXPORTS.items():
-        sub = importlib.import_module(f"nced.{module}")
-        assert getattr(nced, name) is (sub if name == module else getattr(sub, name)), name
-        assert name in dir(nced)
-    assert nced.__version__ == "0.1.0" and nced.BACKEND == "numpy"
-    assert set(nced.__all__) == {*EAGER_EXPORTS, "BACKEND"}
-    star = {}
-    exec("from nced import *", star)
-    assert {k for k in star if k != "__builtins__"} == set(nced.__all__)
+def test_package_binds_its_constants_and_imports_each_submodule_normally():
+    got = child(f"""
+import json, sys
+import nced
+public = sorted(name for name in vars(nced) if not name.startswith("_"))
+state = [public, nced.__version__, "numpy" in sys.modules]
+found = []
+for name in {SUBMODULES!r}:
+    exec(f"from nced import {{name}} as sub")
+    found.append(sub is sys.modules[f"nced.{{name}}"])
+print(json.dumps([state, found]))
+""")
+    assert got == [[["BACKEND"], "0.1.0", False], [True] * len(SUBMODULES)]
+
+
+def test_importtime_lists_every_module_the_cli_imports():
+    # a submodule loaded outside the import system (say, by a module-level
+    # __getattr__ calling importlib) gets no line, and its time is charged to
+    # its importer's self time, so perfbench's per-module split would be wrong
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-c", "import nced.cli"],
+                          env=env, capture_output=True, text=True, timeout=120, check=True)
+    names = [line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
+             if line.startswith("import time:")]
+    assert sorted(name for name in names if name.split(".")[0] == "nced") == sorted(
+        ["nced", "nced.cli", *(f"nced.{name}" for name in SUBMODULES)])
 
 
 def test_unknown_name_raises_attribute_error():
