@@ -19,7 +19,7 @@ LAB_AXES = ((1.0, 0, 0), (0, 1.0, 0), (0, 0, 1.0))
 def nonmember_residual(k):
     """Largest stabilizer residual of the rotations by 1 about the three lab
     axes; no K is fixed by all three, and the residual is of degree 1 in K."""
-    return max(float(sg.stabilizes(lorentz.rotation(axis, 0.5), k)) for axis in LAB_AXES)
+    return float(np.max([sg.stabilizes(lorentz.rotation(axis, 0.5), k) for axis in LAB_AXES]))
 
 
 def offgrid_min(chis, residuals):
@@ -32,16 +32,18 @@ def offgrid_min(chis, residuals):
 
 def verdicts(report, k):
     """The ``checks`` block of ``report``, in report order, from the values
-    the report holds; ``k`` is its complex noncommutativity vector."""
+    the report holds; ``k`` is its complex noncommutativity vector. A NaN
+    value, or a NaN peak in a duality bound, fails its row."""
     dual = report["duality"]
-    zeros = max(dual["quarter_turn_residuals"])
+    # np.max and np.maximum propagate NaN, where max skips it
+    zeros = np.max(dual["quarter_turn_residuals"])
     peak = dual["peak_residual"]
     if peak == 0.0:
         # the commutative limit: every dual rotation is a symmetry
-        duality = {"duality_zeros": zeros <= 1e-13, "duality_discrete": True}
+        duality = {"duality_zeros": bool(zeros <= 1e-13), "duality_discrete": True}
     else:
         duality = {
-            "duality_zeros": zeros <= 1e-11 * max(1.0, peak),
+            "duality_zeros": bool(zeros <= 1e-11 * np.maximum(1.0, peak)),
             "duality_discrete": dual["offgrid_min_residual"] >= 1e-6 * peak,
         }
     if report["classification"] == nc.ZERO:

@@ -31,6 +31,11 @@ SCAN_BLOCK = 512
 # max(1, |G|, |R|)^2
 CONSISTENCY_TOL = 1e-10
 
+# A generic field pair (E, B), the analyzer's duality state: no component is
+# zero, E·B ≠ 0 and E² ≠ B², so neither f·f nor any component of f vanishes.
+GENERIC_E = (0.3, -0.7, 0.5)
+GENERIC_B = (-0.2, 0.9, 0.1)
+
 
 class GRState(NamedTuple):
     G: np.ndarray
@@ -63,11 +68,11 @@ def _gr_residual(G, R, K):
     s_hh = _cmul(0.5, cdot(h, h).conjugate())[..., None]
     fwd = h - f + _cmul(s_fk, f) + _cmul(s_ff, K)
     inv = f - h - _cmul(s_hk, h) - _cmul(s_hh, K)
-    # hypot is abs() of a complex scalar bit for bit; fmax from 0.0 skips NaN
-    # components the way a running "if m > d: d = m" does
-    d2 = np.fmax.reduce(np.hypot(fwd.real, fwd.imag), axis=-1, initial=0.0)
-    d1 = np.fmax.reduce(np.hypot(inv.real, inv.imag), axis=-1, initial=0.0)
-    return np.where(d1 < d2, d1, d2)[()]
+    # hypot is abs() of a complex scalar bit for bit; max and minimum propagate
+    # NaN, so an overflowed component gives a NaN residual, which fails its check
+    d2 = np.max(np.hypot(fwd.real, fwd.imag), axis=-1)
+    d1 = np.max(np.hypot(inv.real, inv.imag), axis=-1)
+    return np.minimum(d1, d2)[()]
 
 
 def constitutive_residual_gr(s, k):

@@ -95,9 +95,10 @@ def act_vector(L, v):
 
 def so3c_entries(q):
     """Complex orthogonal 3x3 matrix of the two-to-one map from a unit
-    biquaternion q = (k0, k1, k2, k3); it fixes q's own vector part."""
+    biquaternion q = (k0, k1, k2, k3); it fixes q's own vector part. An
+    object array of symbols gives the symbolic matrix."""
     k0, k1, k2, k3 = q[0], q[1], q[2], q[3]
-    o = np.empty((3, 3), np.complex128)
+    o = np.empty((3, 3), np.result_type(q, np.complex128))
     o[0, 0] = 1.0 - 2.0 * (k2 * k2 + k3 * k3)
     o[0, 1] = -2.0 * k0 * k3 + 2.0 * k1 * k2
     o[0, 2] = 2.0 * k0 * k2 + 2.0 * k1 * k3

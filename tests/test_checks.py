@@ -1,6 +1,6 @@
 """The check table: it rebuilds the golden reports' verdicts, each row flips at
-its own bound and at no other, and small inputs pass while the bounds still
-separate members from non-members."""
+its own bound and at no other, a NaN value fails its row, and small inputs
+pass while the bounds still separate members from non-members."""
 
 import copy
 from pathlib import Path
@@ -91,6 +91,54 @@ def test_each_row_flips_only_its_own_check(kind, zero_peak, factor):
         # no off-grid value can fail the commutative limit
         put(base, ("duality", "offgrid_min_residual"), 0.0)
         assert checks.verdicts(base, k)["duality_discrete"] is True
+
+
+@pytest.mark.parametrize("kind", ["nonisotropic", "isotropic", "zero"])
+def test_nan_value_fails_its_row(kind):
+    base, k = load(GOLDEN / f"{kind}.default.report.yaml")
+    assert all(checks.verdicts(base, k).values())
+    for name, path, _, _ in rows(k, base["duality"]["peak_residual"]):
+        report = copy.deepcopy(base)
+        put(report, path, float("nan"))
+        assert checks.verdicts(report, k)[name] is False, (name, path)
+    # a NaN peak is a NaN bound: neither duality row can pass against it
+    put(base, ("duality", "peak_residual"), float("nan"))
+    got = checks.verdicts(base, k)
+    assert (got["duality_zeros"], got["duality_discrete"]) == (False, False)
+
+
+def huge_isotropic_report(m):
+    """The report of an isotropic K of size ``m``, in a fixed random direction."""
+    rng = np.random.default_rng(3)
+    p = rng.normal(size=3)
+    p /= np.linalg.norm(p)
+    q = rng.normal(size=3)
+    q -= (q @ p) * p
+    q /= np.linalg.norm(q)
+    with np.errstate(all="ignore"):
+        report = analyze(nc.ThetaVectors(m * q, m * p), "in.yaml", scan_n=360, trials=100,
+                         seed=42)
+    assert report["classification"] == nc.ISOTROPIC
+    return report
+
+
+def test_overflowing_invariance_residual_fails():
+    """At |K| = 1e100 the invariance residual overflows to NaN, and the report
+    says so in place of a maximum that skips it."""
+    report = huge_isotropic_report(1e100)
+    assert np.isnan(report["small_group"]["max_invariance_residual"])
+    assert report["checks"]["invariance"] is False
+
+
+def test_overflowing_duality_residuals_fail():
+    """At |K| = 1e140 every component of the duality defect overflows; a
+    maximum that skipped NaN made each residual 0.0, the commutative limit."""
+    report = huge_isotropic_report(1e140)
+    dual = report["duality"]
+    assert np.all(np.isnan(dual["quarter_turn_residuals"]))
+    assert np.isnan(dual["peak_residual"]) and np.isnan(dual["offgrid_min_residual"])
+    assert (report["checks"]["duality_zeros"], report["checks"]["duality_discrete"]) == (
+        False, False)
 
 
 def test_zero_report_gets_only_duality_rows():

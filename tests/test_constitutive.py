@@ -1,13 +1,24 @@
 """Constitutive maps: vector vs quaternionic route, first-order inversion,
-covariance."""
+covariance, and the analyzer's covariance design: the identity it rests on,
+proved with sympy, and the corruptions it rejects."""
+
+from contextlib import contextmanager
+from itertools import count
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
+from nced import algebra as alg
+from nced import cli
 from nced import constitutive as ct
 from nced import lorentz as lo
 from nced import noncomm as nc
 from nced.algebra import sym_scalar
 from conftest import rand_unit_element
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
 
 # ---------------------------------------------------------------------------
 # independent oracle: a fresh transcription of the forward map, written
@@ -206,3 +217,73 @@ def test_field_combination_roundtrip():
     D, H = rng.normal(size=3), rng.normal(size=3)
     D2, H2 = ct.dh_from_h(ct.h_vector(D, H))
     assert np.array_equal(D2, D) and np.array_equal(H2, H)
+
+
+def test_so3c_entries_preserve_every_bilinear_dot_of_a_unit_element():
+    """For a symbolic q, OᵀO − I lies in the ideal of norm(q) − 1, so every
+    unit element preserves f·K and f·f, and with them the conjugated dots
+    that h_from_f forms; h_from_f(Of, OK) = O·h_from_f(f, K) then holds
+    exactly, and covariant_transport_check is rounding only."""
+    sympy = pytest.importorskip("sympy")
+    q = sympy.symbols("q0:4")
+    unit = sum(x * x for x in q) - 1
+    o = sympy.Matrix(lo.so3c_entries(np.array(q, dtype=object)))
+    f, k = sympy.Matrix(sympy.symbols("f0:3")), sympy.Matrix(sympy.symbols("k0:3"))
+    defects = [*(o.T * o - sympy.eye(3)),
+               ((o * f).T * (o * k) - f.T * k)[0], ((o * f).T * (o * f) - f.T * f)[0]]
+    for defect in defects:
+        _, rest = sympy.reduced(sympy.expand(defect), [unit], *q)
+        assert rest == 0
+    # the ideal is needed: off the unit quadric O is not orthogonal
+    assert sympy.expand((o.T * o)[0, 0] - 1) != 0
+
+
+@contextmanager
+def hermitian_dot(monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(ct, "cdot", lambda a, b: alg.cdot(np.conj(a), b))
+        yield
+
+
+@contextmanager
+def transported_h_scaled(monkeypatch):
+    # act_vector acts on f, K and h in that order: scale every third result
+    calls = count(1)
+
+    def act_vector(L, v):
+        out = lo.act_vector(L, v)
+        return out * (1 + 1e-6) if next(calls) % 3 == 0 else out
+
+    with monkeypatch.context() as m:
+        m.setattr(ct, "lorentz", SimpleNamespace(act_vector=act_vector))
+        yield
+
+
+@pytest.mark.parametrize("corrupt", [hermitian_dot, transported_h_scaled])
+@pytest.mark.parametrize("kind", ["nonisotropic", "isotropic"])
+def test_covariance_design_rejects_a_corrupted_map(kind, corrupt, monkeypatch, tmp_path):
+    """Each corruption, confined to the covariance section, fails
+    full_covariance and only it, and the run exits 1."""
+    check = cli._covariance_check
+
+    def corrupted(k):
+        with corrupt(monkeypatch):
+            return check(k)
+
+    monkeypatch.setattr(cli, "_covariance_check", corrupted)
+    inp = GOLDEN / f"{kind}.yaml"
+    report = cli.analyze(cli.load_input(inp), inp, scan_n=360, trials=100, seed=42)
+    assert [name for name, ok in report["checks"].items() if not ok] == ["full_covariance"]
+    assert report["status"] == "fail"
+    assert cli.main(["analyze", "--input", str(inp), "--report", str(tmp_path / "r.yaml")]) == 1
+
+
+def test_rotations_alone_cannot_see_a_hermitian_dot(monkeypatch):
+    """Why the design needs boosts: a real rotation preserves the Hermitian
+    dot too, so the corrupted map passes every rotation of the design."""
+    k = ct.f_vector((0.3, -1.0, 0.5), (1.0, 0.2, 2.0))
+    rot = np.array([lo.rotation(a, 0.7) for a in ((1.0, 0, 0), (0, 1.0, 0), (0, 0, 1.0))])
+    E, B = np.eye(3), np.roll(np.eye(3), 1, axis=1)
+    with hermitian_dot(monkeypatch):
+        assert np.max(ct.covariant_transport_check(k, rot[:, None], E, B)) <= 1e-14
+        assert cli._covariance_check(k) > 1.0

@@ -134,3 +134,19 @@ def test_commutative_limit_restores_continuous_duality():
     s = du.gr_from_fh(f, f.copy())  # K = 0 forces h = f
     _, res = du.duality_scan(s, np.zeros(3, complex), 720)
     assert res.max() <= 1e-12
+
+
+def test_an_overflowed_orientation_makes_the_residual_nan():
+    """At K = 1e120·(1, −i, 0) the inverse orientation of the analyzer's state
+    overflows to a NaN component while the forward one stays finite. The
+    residual is NaN, not the finite orientation's defect; swapping the
+    orientations (R → −R swaps f and h) gives NaN too."""
+    k = 1e120 * np.array([1.0, -1.0j, 0.0])
+    f = ct.f_vector(du.GENERIC_E, du.GENERIC_B)
+    with np.errstate(all="ignore"):
+        s = du.gr_from_fh(f, ct.h_from_f(f, k))
+        assert np.isnan(du.constitutive_residual_gr(s, k))
+        assert np.isnan(du.constitutive_residual_gr(du.GRState(s.G, -s.R), k))
+        # the forward orientation alone is finite
+        f_, h_ = du.fh_from_gr(s)
+        assert np.all(np.isfinite(ct.h_from_f(f_, k) - h_))

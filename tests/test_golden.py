@@ -1,5 +1,6 @@
 """Reports and CSVs stay byte-identical, apart from ``generated_at``, to the
-golden files in ``tests/data/golden`` (see the README there)."""
+golden files in ``tests/data/golden`` (see the README there). A report that
+differs names the keys that moved."""
 
 import os
 import subprocess
@@ -7,14 +8,16 @@ import sys
 from pathlib import Path
 
 import pytest
+import yaml
 
 from nced.cli import main
+from report_diff import changed_keys, report_diff
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 FLAGS = {"default": [], "trials1": ["--trials", "1"], "trials7": ["--trials", "7"],
          "trials2000": ["--trials", "2000"]}
 # odd trial counts end the isotropic invariance draws on a sign word that
-# only one trial used; a zero input draws no trials
+# only one trial used, and no later draw reads it; a zero input draws no trials
 CASES = [(kind, flags) for kind in ("nonisotropic", "isotropic", "zero") for flags in FLAGS
          if kind != "zero" or flags in ("default", "trials2000")]
 
@@ -24,6 +27,13 @@ def body(path):
                     if not line.startswith(b"generated_at:"))
 
 
+def assert_matches_golden(report, name):
+    got, want = body(report), (GOLDEN / name).read_bytes()
+    if got != want:
+        diff = report_diff(yaml.safe_load(want), yaml.safe_load(got))
+        pytest.fail(f"{name} differs; changed keys: {changed_keys(diff) or 'none, only bytes'}")
+
+
 @pytest.mark.parametrize("kind, flags", CASES)
 def test_report_matches_golden(kind, flags, tmp_path, monkeypatch):
     # the report echoes the input path, so run where the golden run ran
@@ -31,7 +41,7 @@ def test_report_matches_golden(kind, flags, tmp_path, monkeypatch):
     report = tmp_path / "report.yaml"
     code = main(["analyze", "--input", f"{kind}.yaml", "--report", str(report)] + FLAGS[flags])
     assert code == 0
-    assert body(report) == (GOLDEN / f"{kind}.{flags}.report.yaml").read_bytes()
+    assert_matches_golden(report, f"{kind}.{flags}.report.yaml")
 
 
 def test_scan_csv_matches_golden(tmp_path, monkeypatch):
@@ -41,7 +51,7 @@ def test_scan_csv_matches_golden(tmp_path, monkeypatch):
                  "--csv", str(csv)])
     assert code == 0
     assert csv.read_bytes() == (GOLDEN / "nonisotropic.scan.csv").read_bytes()
-    assert body(report) == (GOLDEN / "nonisotropic.default.report.yaml").read_bytes()
+    assert_matches_golden(report, "nonisotropic.default.report.yaml")
 
 
 def test_scan_across_blocks_matches_golden(tmp_path, monkeypatch):
@@ -52,7 +62,7 @@ def test_scan_across_blocks_matches_golden(tmp_path, monkeypatch):
                  "--csv", str(csv), "--scan-n", "1500"])
     assert code == 0
     assert csv.read_bytes() == (GOLDEN / "nonisotropic.scan1500.csv").read_bytes()
-    assert body(report) == (GOLDEN / "nonisotropic.scan1500.report.yaml").read_bytes()
+    assert_matches_golden(report, "nonisotropic.scan1500.report.yaml")
 
 
 @pytest.mark.parametrize("blas_threads", [None, "2"])
@@ -70,4 +80,4 @@ def test_module_entry_point_matches_golden(kind, blas_threads, tmp_path):
                          cwd=GOLDEN, env=env, capture_output=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stderr == b""
-    assert body(report) == (GOLDEN / f"{kind}.default.report.yaml").read_bytes()
+    assert_matches_golden(report, f"{kind}.default.report.yaml")

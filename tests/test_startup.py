@@ -1,7 +1,8 @@
 """Start-up and exit: ``import nced`` binds no submodule and loads no numpy,
 ``-X importtime`` times each module that the CLI imports, the CLI loads numpy
 with one BLAS thread unless the user chose a thread count, and the process
-entry freezes the garbage collector before teardown."""
+entry freezes the garbage collector before teardown. Only the small-group
+trials load ``numpy.random``, so a zero input never does."""
 
 import gc
 import importlib.metadata
@@ -75,7 +76,7 @@ for name in {SUBMODULES!r}:
     found.append(sub is sys.modules[f"nced.{{name}}"])
 print(json.dumps([state, found]))
 """)
-    assert got == [[["BACKEND"], "0.1.0", False], [True] * len(SUBMODULES)]
+    assert got == [[["BACKEND"], "0.2.0", False], [True] * len(SUBMODULES)]
 
 
 def test_importtime_lists_every_module_the_cli_imports():
@@ -89,6 +90,15 @@ def test_importtime_lists_every_module_the_cli_imports():
              if line.startswith("import time:")]
     assert sorted(name for name in names if name.split(".")[0] == "nced") == sorted(
         ["nced", "nced.cli", *(f"nced.{name}" for name in SUBMODULES)])
+
+
+@pytest.mark.parametrize("kind, loaded", [("zero", False), ("nonisotropic", True)])
+def test_only_small_group_trials_load_numpy_random(kind, loaded, tmp_path):
+    inp = ROOT / "tests" / "data" / "golden" / f"{kind}.yaml"
+    argv = ["analyze", "--input", str(inp), "--report", str(tmp_path / "r.yaml")]
+    got = child(f"import json, sys, nced.cli; code = nced.cli.main({argv!r}); "
+                "print(json.dumps([code, 'numpy.random' in sys.modules]))")
+    assert got == [0, loaded]
 
 
 def test_unknown_name_raises_attribute_error():
