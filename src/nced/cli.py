@@ -183,36 +183,28 @@ def _small_group_trials(kind, n, rng):
     return _parameter(law.reshape(n, 2, 2)), _parameter(inv[:, :2]), fields[:, :3], fields[:, 3:]
 
 
-def _samples(kind):
-    if kind == nc.NONISOTROPIC:
-        return [("chi", 0.5 + 0.0j), ("chi", 0.5j), ("chi", 0.5 + 0.5j)]
-    return [("w", 1.0 + 0.0j), ("w", 1.0j)]
+# per kind: the parameters of the sample elements, and the one factorized
+_PARAMETERS = {
+    nc.NONISOTROPIC: ([0.5 + 0.0j, 0.5j, 0.5 + 0.5j], 0.5 + 0.5j),
+    nc.ISOTROPIC: ([1.0 + 0.0j, 1.0j], 1.0 + 0.0j),
+}
 
 
 def _element_for(d, value):
-    if d.kind == nc.NONISOTROPIC:
-        return sg.element(d, chi=value)
-    return sg.element(d, w=value)
+    return sg.element(d, **{d.param: value})
 
 
 def _small_group_section(d, k, trials, seed):
-    samples = []
-    for name, value in _samples(d.kind):
-        L = _element_for(d, value)
-        samples.append({
-            "parameter": {name: _c(value)},
-            "element": _cv(L),
-            "stabilizer_residual": float(sg.stabilizes(L, k)),
-        })
-
     # all trials are drawn first, then checked one batch per check; they are
     # the generator's one reader, so a zero input never loads numpy.random
     w, w_inv, E, B = _small_group_trials(d.kind, trials, np.random.default_rng(seed))
+    values = _PARAMETERS[d.kind][0]
+    samples = _element_for(d, values)
     e1 = _element_for(d, w[:, 0])
     e2 = _element_for(d, w[:, 1])
-    # np.max, not max or np.fmax: a NaN residual must reach its check and fail
-    max_stab = float(np.max(np.append([s["stabilizer_residual"] for s in samples],
-                                      sg.stabilizes(e1, k))))
+    # the samples' residuals come first; np.max, not max or np.fmax: a NaN
+    # residual must reach its check and fail
+    stab = sg.stabilizes(np.concatenate([samples, e1]), k)
     group_law = float(np.max(sg.group_law_check(d, w[:, 0], w[:, 1])))
     abelian = float(np.max(np.abs(mul(e1, e2) - mul(e2, e1))))
 
@@ -221,8 +213,10 @@ def _small_group_section(d, k, trials, seed):
 
     section = {
         "kind": d.kind,
-        "sample_elements": samples,
-        "max_stabilizer_residual": max_stab,
+        "sample_elements": [
+            {"parameter": {d.param: _c(value)}, "element": _cv(e), "stabilizer_residual": r}
+            for value, e, r in zip(values, samples, stab.tolist())],
+        "max_stabilizer_residual": float(np.max(stab)),
         "group_law_defect": group_law,
         "abelian_defect": abelian,
         "max_invariance_residual": invariance,
@@ -273,15 +267,11 @@ def _canonical_section(d, k):
 
 
 def _factorization_section(d):
-    if d.kind == nc.NONISOTROPIC:
-        param = {"chi": _c(0.5 + 0.5j)}
-        L = sg.element(d, chi=0.5 + 0.5j)
-    else:
-        param = {"w": _c(1.0)}
-        L = sg.element(d, w=1.0)
+    value = _PARAMETERS[d.kind][1]
+    L = _element_for(d, value)
     rot, bst = lorentz.factorize(L)
     return {
-        "of_parameter": param,
+        "of_parameter": {d.param: _c(value)},
         "rotation": _cv(rot),
         "boost": _cv(bst),
         "recomposition_defect": float(np.max(np.abs(mul(rot, bst) - L))),
@@ -293,15 +283,11 @@ def _duality_section(k, scan_n):
     h = ct.h_from_f(f, k)
     state = du.gr_from_fh(f, h)
     chis, residuals = du.duality_scan(state, k, scan_n)
-
-    quarter_res = []
-    for j in range(4):
-        rotated, k_rot = du.dual_rotate(state, k, j * np.pi / 2.0)
-        quarter_res.append(du.constitutive_residual_gr(rotated, k_rot))
+    rotated, k_rot = du.dual_rotate(state, k, np.arange(4) * np.pi / 2.0)
 
     return {
         "scan_n": scan_n,
-        "quarter_turn_residuals": quarter_res,
+        "quarter_turn_residuals": du.constitutive_residual_gr(rotated, k_rot).tolist(),
         "offgrid_min_residual": checks.offgrid_min(chis, residuals),
         "peak_residual": float(residuals.max()),
         "table": np.column_stack((chis, residuals)),

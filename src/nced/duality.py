@@ -53,8 +53,9 @@ def fh_from_gr(s):
 
 
 def dual_rotate(s, k, chi):
-    """Phase-rotate (G, R, K) by a real duality angle chi."""
-    ph = np.exp(1j * float(chi))
+    """Phase-rotate (G, R, K) by real duality angles ``chi``: one row per
+    angle of an array, the shapes of ``s`` and ``k`` for a single angle."""
+    ph = np.exp(1j * np.asarray(chi, float))[..., None]
     return GRState(ph * s.G, s.R / ph), ph * np.asarray(k, np.complex128)
 
 
@@ -77,9 +78,10 @@ def _gr_residual(G, R, K):
 
 def constitutive_residual_gr(s, k):
     """Max-component defect of the constitutive pair in (G, R, K) variables,
-    measured against its best-matching orientation."""
+    measured against its best-matching orientation; one per row, a float for
+    a single state."""
     G, R = np.asarray(s.G, np.complex128), np.asarray(s.R, np.complex128)
-    return float(_gr_residual(G, R, np.asarray(k, np.complex128)))
+    return _gr_residual(G, R, np.asarray(k, np.complex128))
 
 
 def duality_scan(s, k, n):
@@ -95,16 +97,16 @@ def duality_scan(s, k, n):
     k = np.asarray(k, np.complex128)
     pre = constitutive_residual_gr(s, k)
     scale = max(1.0, float(np.max(np.abs(s.G))), float(np.max(np.abs(s.R)))) ** 2
-    if pre > CONSISTENCY_TOL * scale:
+    # not ``pre > bound``, which a NaN residual passes
+    if not pre <= CONSISTENCY_TOL * scale:
         raise InconsistentInputError(
             f"state violates the constitutive pair before rotation (residual {pre:.3e})"
         )
     chis = 2.0 * np.pi * np.arange(n) / n
-    G, R = np.asarray(s.G, np.complex128), np.asarray(s.R, np.complex128)
     residuals = np.empty(n)
     # every step is elementwise or a reduction within a row, so a block gives
     # the bits the whole grid would
     for a in range(0, n, SCAN_BLOCK):
-        ph = np.exp(1j * chis[a:a + SCAN_BLOCK])[:, None]
-        residuals[a:a + SCAN_BLOCK] = _gr_residual(ph * G, R / ph, ph * k)
+        rotated, k_rot = dual_rotate(s, k, chis[a:a + SCAN_BLOCK])
+        residuals[a:a + SCAN_BLOCK] = _gr_residual(rotated.G, rotated.R, k_rot)
     return chis, residuals

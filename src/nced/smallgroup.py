@@ -10,8 +10,7 @@ complex) axis.  For an isotropic K (``K.K = 0``) the group is
 One ``canonical_form`` serves any non-null K, of either kind.
 """
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -22,9 +21,9 @@ from .constitutive import f_vector, h_from_f
 from .errors import KindMismatchError, ZeroKError
 
 
-@dataclass(frozen=True)
-class SmallGroupDescriptor:
+class SmallGroupDescriptor(NamedTuple):
     kind: str
+    param: str                               # parameter name: "chi" (nonisotropic) or "w"
     phi_hat: Optional[np.ndarray] = None     # nonisotropic: unit axis, phi_hat.phi_hat = 1
     phi: Optional[np.ndarray] = None          # isotropic: raw null direction
     sqrt_square: Optional[complex] = None     # nonisotropic: principal root of phi.phi
@@ -38,9 +37,9 @@ def describe(k):
         raise ZeroKError("zero noncommutativity: the stabilizer is the full Lorentz group")
     phi = noncomm.phi_from_k(k)
     if kind == noncomm.ISOTROPIC:
-        return SmallGroupDescriptor(kind=kind, phi=phi)
+        return SmallGroupDescriptor(kind, "w", phi=phi)
     ssq = complex(np.sqrt(cdot(phi, phi)))
-    return SmallGroupDescriptor(kind=kind, phi_hat=phi / ssq, sqrt_square=ssq)
+    return SmallGroupDescriptor(kind, "chi", phi_hat=phi / ssq, sqrt_square=ssq)
 
 
 def element(d, chi=None, w=None):
@@ -69,10 +68,9 @@ def stabilizes(L, k):
 
 def group_law_check(d, p1, p2):
     """Defect of the additive parameter law under actual composition, per
-    pair of (arrays of) parameters, chi or w by the kind of ``d``."""
-    name = "chi" if d.kind == noncomm.NONISOTROPIC else "w"
+    pair of (arrays of) parameters, named by ``d.param``."""
     p1, p2 = np.asarray(p1, np.complex128), np.asarray(p2, np.complex128)
-    e1, e2, target = (element(d, **{name: p}) for p in (p1, p2, p1 + p2))
+    e1, e2, target = (element(d, **{d.param: p}) for p in (p1, p2, p1 + p2))
     return np.max(np.abs(mul(e1, e2) - target), axis=-1)
 
 

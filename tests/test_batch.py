@@ -144,6 +144,11 @@ def ref_gr_residual(G, R, K):
     return d1 if d1 < d2 or d1 != d1 else d2
 
 
+def ref_dual_rotate(s, k, chi):
+    ph = np.exp(1j * float(chi))
+    return du.GRState(ph * s.G, s.R / ph), ph * k
+
+
 def ref_scan(G, R, K, chis):
     out = np.empty(chis.shape[0], np.float64)
     for i in range(chis.shape[0]):
@@ -299,6 +304,30 @@ def test_gr_residual_matches_rowwise_reference():
     assert_same_bits(got[2::3], want[2::3])
 
 
+RAND_K = {nc.NONISOTROPIC: rand_nonisotropic_k, nc.ISOTROPIC: rand_isotropic_k,
+          nc.ZERO: lambda rng: np.zeros(3, complex)}
+
+
+@pytest.mark.parametrize("kind", list(RAND_K))
+def test_batched_dual_rotation_matches_per_angle_calls(kind):
+    rng = np.random.default_rng(10)
+    k = RAND_K[kind](rng)
+    f = ct.f_vector(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3))
+    state = du.gr_from_fh(f, ct.h_from_f(f, k))
+    chis = np.append(np.arange(4) * np.pi / 2.0, rng.uniform(0.0, 2.0 * np.pi, 6))
+    rotated, k_rot = du.dual_rotate(state, k, chis)
+    rows = [du.dual_rotate(state, k, chi) for chi in chis]
+    for batch in (rows, [ref_dual_rotate(state, k, chi) for chi in chis]):
+        assert_same_bits(rotated.G, [r.G for r, _ in batch])
+        assert_same_bits(rotated.R, [r.R for r, _ in batch])
+        assert_same_bits(k_rot, [kr for _, kr in batch])
+    residuals = du.constitutive_residual_gr(rotated, k_rot)
+    assert residuals.shape == chis.shape
+    assert_same_bits(residuals, [du.constitutive_residual_gr(r, kr) for r, kr in rows])
+    # a single state still gives a float
+    assert isinstance(du.constitutive_residual_gr(*rows[1]), float)
+
+
 @pytest.mark.parametrize("kind", ["consistent", "zero"])
 def test_duality_scan_matches_rowwise_reference(kind):
     rng = np.random.default_rng(8)
@@ -310,10 +339,6 @@ def test_duality_scan_matches_rowwise_reference(kind):
     ref_chis = 2.0 * np.pi * np.arange(n) / n
     assert_same_bits(chis, ref_chis)
     assert_same_bits(res, ref_scan(state.G, state.R, k, ref_chis))
-
-
-RAND_K = {nc.NONISOTROPIC: rand_nonisotropic_k, nc.ISOTROPIC: rand_isotropic_k,
-          nc.ZERO: lambda rng: np.zeros(3, complex)}
 
 
 @pytest.mark.parametrize("kind", list(RAND_K))

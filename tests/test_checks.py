@@ -13,6 +13,7 @@ from nced import checks
 from nced import noncomm as nc
 from nced import smallgroup as sg
 from nced.cli import analyze
+from nced.errors import InconsistentInputError
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 REPORTS = sorted(GOLDEN.glob("*.report.yaml"))
@@ -131,14 +132,12 @@ def test_overflowing_invariance_residual_fails():
 
 
 def test_overflowing_duality_residuals_fail():
-    """At |K| = 1e140 every component of the duality defect overflows; a
-    maximum that skipped NaN made each residual 0.0, the commutative limit."""
-    report = huge_isotropic_report(1e140)
-    dual = report["duality"]
-    assert np.all(np.isnan(dual["quarter_turn_residuals"]))
-    assert np.isnan(dual["peak_residual"]) and np.isnan(dual["offgrid_min_residual"])
-    assert (report["checks"]["duality_zeros"], report["checks"]["duality_discrete"]) == (
-        False, False)
+    """At |K| = 1e140 every component of the duality defect overflows, so the
+    duality state's own residual is NaN and the scan rejects the state: no
+    report carries NaN duality values. A maximum that skipped NaN would make
+    each residual 0.0, the commutative limit, and the state would pass."""
+    with pytest.raises(InconsistentInputError, match=r"\(residual nan\)"):
+        huge_isotropic_report(1e140)
 
 
 def test_zero_report_gets_only_duality_rows():

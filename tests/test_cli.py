@@ -384,6 +384,18 @@ def test_negative_seed_exit_2(tmp_path, capsys):
     assert not rep.exists()
 
 
+def test_nan_duality_state_exits_1_without_a_report(tmp_path, capsys):
+    # K = 1e120·(1, −i, 0): the duality state's residual overflows to NaN,
+    # and the scan rejects the state before any report is written
+    with np.errstate(all="ignore"):
+        code, rep = run(tmp_path, "epsilon: [0.0, 1.0e120, 0.0]\ntheta: [1.0e120, 0.0, 0.0]\n")
+    assert code == 1
+    assert not rep.exists()
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("analysis error: state violates the constitutive pair")
+
+
 def test_corrupted_stabilizer_exits_1(tmp_path, capsys, monkeypatch):
     stabilizes = sg.stabilizes
     monkeypatch.setattr(sg, "stabilizes", lambda L, k: stabilizes(L, k) + 1e-3)

@@ -140,7 +140,8 @@ def test_an_overflowed_orientation_makes_the_residual_nan():
     """At K = 1e120·(1, −i, 0) the inverse orientation of the analyzer's state
     overflows to a NaN component while the forward one stays finite. The
     residual is NaN, not the finite orientation's defect; swapping the
-    orientations (R → −R swaps f and h) gives NaN too."""
+    orientations (R → −R swaps f and h) gives NaN too. No bound passes a NaN
+    residual, so the scan rejects the state."""
     k = 1e120 * np.array([1.0, -1.0j, 0.0])
     f = ct.f_vector(du.GENERIC_E, du.GENERIC_B)
     with np.errstate(all="ignore"):
@@ -150,3 +151,6 @@ def test_an_overflowed_orientation_makes_the_residual_nan():
         # the forward orientation alone is finite
         f_, h_ = du.fh_from_gr(s)
         assert np.all(np.isfinite(ct.h_from_f(f_, k) - h_))
+        with pytest.raises(InconsistentInputError, match=r"\(residual nan\)"):
+            du.duality_scan(s, k, 360)
+

@@ -94,11 +94,13 @@ def test_importtime_lists_every_module_the_cli_imports():
 
 @pytest.mark.parametrize("kind, loaded", [("zero", False), ("nonisotropic", True)])
 def test_only_small_group_trials_load_numpy_random(kind, loaded, tmp_path):
+    # nced's records are NamedTuples, so no run loads dataclasses
     inp = ROOT / "tests" / "data" / "golden" / f"{kind}.yaml"
     argv = ["analyze", "--input", str(inp), "--report", str(tmp_path / "r.yaml")]
     got = child(f"import json, sys, nced.cli; code = nced.cli.main({argv!r}); "
-                "print(json.dumps([code, 'numpy.random' in sys.modules]))")
-    assert got == [0, loaded]
+                "print(json.dumps([code, 'numpy.random' in sys.modules, "
+                "'dataclasses' in sys.modules]))")
+    assert got == [0, loaded, False]
 
 
 def test_unknown_name_raises_attribute_error():
