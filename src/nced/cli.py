@@ -202,11 +202,12 @@ def _small_group_section(d, k, trials, seed):
     samples = _element_for(d, values)
     e1 = _element_for(d, w[:, 0])
     e2 = _element_for(d, w[:, 1])
+    e12 = mul(e1, e2)
     # the samples' residuals come first; np.max, not max or np.fmax: a NaN
     # residual must reach its check and fail
     stab = sg.stabilizes(np.concatenate([samples, e1]), k)
-    group_law = float(np.max(sg.group_law_check(d, w[:, 0], w[:, 1])))
-    abelian = float(np.max(np.abs(mul(e1, e2) - mul(e2, e1))))
+    group_law = float(np.max(sg.group_law_check(d, e12, w[:, 0] + w[:, 1])))
+    abelian = float(np.max(np.abs(e12 - mul(e2, e1))))
 
     L = _element_for(d, w_inv)
     invariance = float(np.max(sg.verify_constitutive_invariance(k, L, E, B)))

@@ -66,12 +66,11 @@ def stabilizes(L, k):
     return np.max(np.abs(lorentz.act_vector(L, k) - k), axis=-1)
 
 
-def group_law_check(d, p1, p2):
-    """Defect of the additive parameter law under actual composition, per
-    pair of (arrays of) parameters, named by ``d.param``."""
-    p1, p2 = np.asarray(p1, np.complex128), np.asarray(p2, np.complex128)
-    e1, e2, target = (element(d, **{d.param: p}) for p in (p1, p2, p1 + p2))
-    return np.max(np.abs(mul(e1, e2) - target), axis=-1)
+def group_law_check(d, product, p):
+    """Defect of the additive parameter law, per row: how far ``product`` =
+    L(p1)·L(p2) lies from L(p) with p = p1 + p2, the parameter named by
+    ``d.param``."""
+    return np.max(np.abs(product - element(d, **{d.param: p})), axis=-1)
 
 
 def verify_constitutive_invariance(k, L, E, B):

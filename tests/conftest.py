@@ -1,11 +1,12 @@
-"""Shared random constructors for the test suite."""
+"""Shared random constructors and helpers for the test suite."""
 
 import os
 from pathlib import Path
 
 import numpy as np
 
-from nced.algebra import norm
+from nced import smallgroup as sg
+from nced.algebra import mul, norm
 
 # the subprocess tests run ``python -m nced`` from this checkout, installed or not
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -46,3 +47,10 @@ def rand_isotropic_k(rng, scale_range=(0.5, 2.0)):
     q /= np.linalg.norm(q)
     s = rng.uniform(*scale_range)
     return s * (p + 1j * q)
+
+
+def group_law(d, p1, p2):
+    """``sg.group_law_check`` of L(p1)·L(p2), each factor built by ``element``."""
+    p1, p2 = np.asarray(p1, np.complex128), np.asarray(p2, np.complex128)
+    e1, e2 = (sg.element(d, **{d.param: p}) for p in (p1, p2))
+    return sg.group_law_check(d, mul(e1, e2), p1 + p2)

@@ -20,7 +20,7 @@ from nced import noncomm as nc
 from nced import smallgroup as sg
 from nced.cli import analyze, write_report
 
-from conftest import rand_isotropic_k, rand_nonisotropic_k, rand_unit_element
+from conftest import group_law, rand_isotropic_k, rand_nonisotropic_k, rand_unit_element
 from test_algebra import mul_oracle, rand_quat
 from test_maxwell import frozen_map
 
@@ -137,14 +137,14 @@ def test_criterion_05_stabilizer_correctness():
             if d.kind == nc.NONISOTROPIC:
                 params = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(3)]
                 elements = [sg.element(d, chi=p) for p in params]
-                worst_law = max(worst_law, sg.group_law_check(d, params[0], params[1]))
+                worst_law = max(worst_law, group_law(d, params[0], params[1]))
             else:
                 params = [
                     (complex(rng.uniform(-2, 2), rng.uniform(-2, 2)), int(rng.choice([-1, 1])))
                     for _ in range(3)
                 ]
                 elements = [s * sg.element(d, w=w) for w, s in params]
-                worst_law = max(worst_law, sg.group_law_check(d, params[0][0], params[1][0]))
+                worst_law = max(worst_law, group_law(d, params[0][0], params[1][0]))
             for L in elements:
                 worst_stab = max(worst_stab, sg.stabilizes(L, k))
             comm = alg.mul(elements[0], elements[1]) - alg.mul(elements[1], elements[0])
@@ -251,7 +251,7 @@ def test_criterion_07_group_structure():
         d = sg.describe(k)
         p1 = (complex(rng.uniform(-2, 2), rng.uniform(-2, 2)), int(rng.choice([-1, 1])))
         p2 = (complex(rng.uniform(-2, 2), rng.uniform(-2, 2)), int(rng.choice([-1, 1])))
-        worst_t2 = max(worst_t2, sg.group_law_check(d, p1[0], p2[0]))
+        worst_t2 = max(worst_t2, group_law(d, p1[0], p2[0]))
     assert worst_t2 <= 1e-12
     _passed(7, f"rotation-by-2a / boost-by-2b factor matrices ({worst_rot:.2e}, "
                f"{worst_boost:.2e}); isotropic displacement law {worst_t2:.2e}")

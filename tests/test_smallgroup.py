@@ -8,7 +8,7 @@ from nced import lorentz as lo
 from nced import noncomm as nc
 from nced import smallgroup as sg
 from nced.errors import KindMismatchError, ZeroKError
-from conftest import rand_isotropic_k, rand_nonisotropic_k, rand_unit_element
+from conftest import group_law, rand_isotropic_k, rand_nonisotropic_k, rand_unit_element
 
 
 def test_describe_real_axis():
@@ -105,25 +105,25 @@ def test_group_law_nonisotropic():
     rng = np.random.default_rng(5)
     k = rand_nonisotropic_k(rng)
     d = sg.describe(k)
-    assert sg.group_law_check(d, 0.0, 0.7 - 0.2j) <= 1e-14
+    assert group_law(d, 0.0, 0.7 - 0.2j) <= 1e-14
     # trig addition across the complex plane
-    assert sg.group_law_check(d, 0.4 + 0.1j, -0.2 + 0.3j) <= 1e-12
+    assert group_law(d, 0.4 + 0.1j, -0.2 + 0.3j) <= 1e-12
     for _ in range(100):
         p1 = complex(rng.uniform(-1.4, 1.4), rng.uniform(-1.4, 1.4))
         p2 = complex(rng.uniform(-1.4, 1.4), rng.uniform(-1.4, 1.4))
-        assert sg.group_law_check(d, p1, p2) <= 1e-12 * np.exp(2 * (abs(p1) + abs(p2)))
+        assert group_law(d, p1, p2) <= 1e-12 * np.exp(2 * (abs(p1) + abs(p2)))
 
 
 def test_group_law_isotropic():
     rng = np.random.default_rng(6)
     k = rand_isotropic_k(rng)
     d = sg.describe(k)
-    assert sg.group_law_check(d, 1 + 1j, 2 - 1j) <= 1e-12
+    assert group_law(d, 1 + 1j, 2 - 1j) <= 1e-12
     for _ in range(100):
         # the signs keep the draws; -L composes to the same defect
         p1 = (complex(rng.uniform(-2, 2), rng.uniform(-2, 2)), int(rng.choice([-1, 1])))
         p2 = (complex(rng.uniform(-2, 2), rng.uniform(-2, 2)), int(rng.choice([-1, 1])))
-        assert sg.group_law_check(d, p1[0], p2[0]) <= 1e-12
+        assert group_law(d, p1[0], p2[0]) <= 1e-12
 
 
 def test_abelian():
@@ -318,7 +318,7 @@ def test_negated_isotropic_elements_give_the_same_residual_bits():
         plain = residuals(L1, L2, target, k, E, B)
         assert all(np.all(np.isfinite(r)) for r in plain)
         assert np.array_equal(plain[3].view(np.uint64),
-                              sg.group_law_check(d, w[:, 0], w[:, 1]).view(np.uint64))
+                              sg.group_law_check(d, alg.mul(L1, L2), w[:, 0] + w[:, 1]).view(np.uint64))
         for flip1, flip2 in ((True, False), (False, True), (True, True)):
             signed = residuals(-L1 if flip1 else L1, -L2 if flip2 else L2,
                                -target if flip1 != flip2 else target, k, E, B)
