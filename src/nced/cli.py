@@ -23,6 +23,7 @@ The sections below only compute report values; every pass bound is a row of
 
 import argparse
 import os
+import random
 import sys
 from datetime import datetime, timezone
 
@@ -153,12 +154,6 @@ def _theta_vectors(doc):
 # ---------------------------------------------------------------------------
 # analysis sections
 
-# The small-group trials are drawn in bulk, but from the stream exactly as one
-# call per draw would take it: ``rng.uniform(lo, hi)`` and ``rng.random()``
-# read one 64-bit word each, ``lo + (hi - lo)·u`` with u = (word >> 11)·2⁻⁵³.
-# The isotropic trials also drew a sign of L, half a word each from PCG64's
-# 32-bit buffer; −L acts as L does, so those words are drawn and dropped.
-
 def _uniform(lo, hi, u):
     return lo + (hi - lo) * u
 
@@ -167,20 +162,19 @@ def _parameter(u):
     return _uniform(-1.4, 1.4, u[..., 0]) + 1j * _uniform(-1.4, 1.4, u[..., 1])
 
 
-def _small_group_trials(kind, n, rng):
-    """The small-group trials in stream order: ``n`` group-law pairs ``w2``,
-    then ``n`` invariance trials ``(w, E, B)``."""
-    if kind == nc.NONISOTROPIC:
-        law, inv = rng.random((n, 4)), rng.random((n, 8))
-    else:
-        # the two signs of a group-law trial share its word 2 of 5; two
-        # invariance trials share a sign word, at offset 2 of their 17
-        law = np.delete(rng.random((n, 5)), 2, axis=1)
-        inv = np.delete(rng.random(8 * n + (n + 1) // 2), np.s_[2::17]).reshape(n, 8)
-    # after an odd isotropic count, per-trial draws leave a half-word in the
-    # buffer and these leave none; no later draw reads it
+def _small_group_trials(n, seed):
+    """The small-group trials of ``seed``: ``n`` group-law pairs ``w2``, then
+    ``n`` invariance trials ``(w, E, B)``, from the 4 and the 8 doubles that
+    as many ``random.Random(seed).random()`` calls would return, in order.
+
+    One ``randbytes`` call draws the 32-bit words, and each pair (a, b) is
+    decoded as ``random()`` decodes it: ((a >> 5)·2²⁶ + (b >> 6))·2⁻⁵³.
+    """
+    a, b = np.frombuffer(random.Random(seed).randbytes(96 * n), "<u4").reshape(-1, 2).T
+    u = ((a >> 5) * 2.0 ** 26 + (b >> 6)) * 2.0 ** -53
+    law, inv = u[:4 * n].reshape(n, 2, 2), u[4 * n:].reshape(n, 8)
     fields = _uniform(-1.0, 1.0, inv[:, 2:])
-    return _parameter(law.reshape(n, 2, 2)), _parameter(inv[:, :2]), fields[:, :3], fields[:, 3:]
+    return _parameter(law), _parameter(inv[:, :2]), fields[:, :3], fields[:, 3:]
 
 
 # per kind: the parameters of the sample elements, and the one factorized
@@ -195,9 +189,8 @@ def _element_for(d, value):
 
 
 def _small_group_section(d, k, trials, seed):
-    # all trials are drawn first, then checked one batch per check; they are
-    # the generator's one reader, so a zero input never loads numpy.random
-    w, w_inv, E, B = _small_group_trials(d.kind, trials, np.random.default_rng(seed))
+    # all trials are drawn first, then checked one batch per check
+    w, w_inv, E, B = _small_group_trials(trials, seed)
     values = _PARAMETERS[d.kind][0]
     samples = _element_for(d, values)
     e1 = _element_for(d, w[:, 0])

@@ -5,6 +5,8 @@ time, every component product a product of numpy scalars.  A batched kernel must
 batch and for a single input, exactly the bits its reference returns.
 """
 
+import random
+
 import numpy as np
 import pytest
 
@@ -357,79 +359,33 @@ def test_blocked_duality_scan_matches_whole_grid(kind):
 
 
 # ---------------------------------------------------------------------------
-# bulk small-group draws against the per-trial draws they replace
-#
-# The oracle is the analyzer's former per-trial code, kept verbatim with its
-# isotropic signs: the bulk draws must give the same w, E and B and leave the
-# generator where it left it, which shows that the words they drop are the
-# sign words. ``has_uint32`` is not compared: after an odd isotropic count
-# the per-trial draws leave a half-word in PCG64's 32-bit buffer, which no
-# later draw reads.
+# the small-group trials against one ``random()`` call per double
 
-def _random_parameter(d, rng):
-    """One trial parameter and sign; the draws fix the RNG stream."""
-    z = complex(rng.uniform(-1.4, 1.4), rng.uniform(-1.4, 1.4))
-    if d.kind == nc.NONISOTROPIC:
-        return z, 1
-    return z, (-1, 1)[rng.integers(0, 2)]
+def per_draw_trials(n, seed):
+    """The trials in their documented layout, drawn one ``random()`` call per
+    double: ``n`` group-law rows (w1, w2), then ``n`` invariance rows (w, E, B),
+    each parameter its real part first."""
+    draw = random.Random(seed).random
 
+    def uniform(lo, hi):
+        return lo + (hi - lo) * draw()
 
-def per_trial_draws(d, n, rng):
-    w = np.empty((n, 2), np.complex128)
-    sign = np.empty((n, 2), np.int64)
-    for i in range(n):
-        w[i, 0], sign[i, 0] = _random_parameter(d, rng)
-        w[i, 1], sign[i, 1] = _random_parameter(d, rng)
-    draws = [w, sign]
+    def parameter():
+        return complex(uniform(-1.4, 1.4), uniform(-1.4, 1.4))
 
-    w = np.empty(n, np.complex128)
-    sign = np.empty(n, np.int64)
-    E, B = np.empty((n, 3)), np.empty((n, 3))
-    for i in range(n):
-        w[i], sign[i] = _random_parameter(d, rng)
-        E[i], B[i] = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
-    return draws + [w, sign, E, B]
+    w2 = [[parameter(), parameter()] for _ in range(n)]
+    w, E, B = [], [], []
+    for _ in range(n):
+        w.append(parameter())
+        E.append([uniform(-1.0, 1.0) for _ in range(3)])
+        B.append([uniform(-1.0, 1.0) for _ in range(3)])
+    return [np.array(x) for x in (w2, w, E, B)]
 
 
-def assert_same_stream(d, n, seed):
-    old, new = np.random.default_rng(seed), np.random.default_rng(seed)
-    w2, _, w, _, E, B = per_trial_draws(d, n, old)
-    for a, b in zip([w2, w, E, B], cli._small_group_trials(d.kind, n, new), strict=True):
-        assert a.dtype == b.dtype
-        assert a.shape == b.shape
-        assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), (n, seed)
-    assert old.bit_generator.state["state"] == new.bit_generator.state["state"]
-    assert np.array_equal(old.random(4), new.random(4))
-    assert np.array_equal(old.standard_normal(4), new.standard_normal(4))
-
-
-def describe_kind(kind):
-    rng = np.random.default_rng(9)
-    if kind == nc.NONISOTROPIC:
-        return sg.describe(rand_nonisotropic_k(rng))
-    return sg.describe(rand_isotropic_k(rng))
-
-
-@pytest.mark.parametrize("kind", [nc.NONISOTROPIC, nc.ISOTROPIC])
-def test_bulk_trial_draws_follow_the_per_trial_stream(kind):
-    d = describe_kind(kind)
-    for seed in range(200):
-        for n in (1, 2, 3, 7):
-            assert_same_stream(d, n, seed)
-
-
-@pytest.mark.parametrize("kind", [nc.NONISOTROPIC, nc.ISOTROPIC])
-def test_bulk_trial_draws_follow_the_per_trial_stream_at_2000(kind):
-    d = describe_kind(kind)
-    for seed in range(1000, 1005):
-        assert_same_stream(d, 2000, seed)
-
-
-def test_sign_draw_keeps_rng_stream():
-    """The trial sign is drawn as ``(-1, 1)[rng.integers(0, 2)]``; it must
-    consume the stream exactly as ``rng.choice([-1, 1])`` did."""
-    old, new = np.random.default_rng(11), np.random.default_rng(11)
-    for _ in range(500):
-        assert old.uniform(-1.4, 1.4) == new.uniform(-1.4, 1.4)
-        assert int(old.choice([-1, 1])) == (-1, 1)[new.integers(0, 2)]
-    assert old.uniform() == new.uniform()
+@pytest.mark.parametrize("seed", [0, 1, 42, 2**31 - 1, 123456789])
+def test_bulk_trials_are_the_per_draw_random_doubles(seed):
+    for n in (1, 2, 3, 7, 2000):
+        for got, want in zip(cli._small_group_trials(n, seed), per_draw_trials(n, seed),
+                             strict=True):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert_same_bits(got, want)

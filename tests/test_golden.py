@@ -16,8 +16,7 @@ from report_diff import changed_keys, report_diff
 GOLDEN = Path(__file__).parent / "data" / "golden"
 FLAGS = {"default": [], "trials1": ["--trials", "1"], "trials7": ["--trials", "7"],
          "trials2000": ["--trials", "2000"]}
-# odd trial counts end the isotropic invariance draws on a sign word that
-# only one trial used, and no later draw reads it; a zero input draws no trials
+# a zero input draws no trials
 CASES = [(kind, flags) for kind in ("nonisotropic", "isotropic", "zero") for flags in FLAGS
          if kind != "zero" or flags in ("default", "trials2000")]
 

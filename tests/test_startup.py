@@ -1,8 +1,9 @@
 """Start-up and exit: ``import nced`` binds no submodule and loads no numpy,
 ``-X importtime`` times each module that the CLI imports, the CLI loads numpy
 with one BLAS thread unless the user chose a thread count, and the process
-entry freezes the garbage collector before teardown. Only the small-group
-trials load ``numpy.random``, so a zero input never does."""
+entry freezes the garbage collector before teardown. No report loads
+``numpy.random``: the small-group trials draw from the standard library's
+``random``."""
 
 import gc
 import importlib.metadata
@@ -76,7 +77,7 @@ for name in {SUBMODULES!r}:
     found.append(sub is sys.modules[f"nced.{{name}}"])
 print(json.dumps([state, found]))
 """)
-    assert got == [[["BACKEND"], "0.2.0", False], [True] * len(SUBMODULES)]
+    assert got == [[["BACKEND"], "0.3.0", False], [True] * len(SUBMODULES)]
 
 
 def test_importtime_lists_every_module_the_cli_imports():
@@ -92,15 +93,20 @@ def test_importtime_lists_every_module_the_cli_imports():
         ["nced", "nced.cli", *(f"nced.{name}" for name in SUBMODULES)])
 
 
-@pytest.mark.parametrize("kind, loaded", [("zero", False), ("nonisotropic", True)])
-def test_only_small_group_trials_load_numpy_random(kind, loaded, tmp_path):
-    # nced's records are NamedTuples, so no run loads dataclasses
+@pytest.mark.parametrize("kind", ["nonisotropic", "isotropic", "zero"])
+def test_no_report_loads_numpy_random(kind, tmp_path):
+    # nced's records are NamedTuples, so no run loads dataclasses either
     inp = ROOT / "tests" / "data" / "golden" / f"{kind}.yaml"
     argv = ["analyze", "--input", str(inp), "--report", str(tmp_path / "r.yaml")]
-    got = child(f"import json, sys, nced.cli; code = nced.cli.main({argv!r}); "
-                "print(json.dumps([code, 'numpy.random' in sys.modules, "
-                "'dataclasses' in sys.modules]))")
-    assert got == [0, loaded, False]
+    got = child(f"""
+import json, sys, nced.cli
+runs = []
+for flags in ([], ["--trials", "2000"]):
+    code = nced.cli.main({argv!r} + flags)
+    runs.append([code, "numpy.random" in sys.modules, "dataclasses" in sys.modules])
+print(json.dumps(runs))
+""")
+    assert got == [[0, False, False]] * 2
 
 
 def test_unknown_name_raises_attribute_error():
