@@ -7,8 +7,10 @@ cross products are complex-bilinear (no conjugation).
 
 Every kernel is batch-first: components live on the last axis and any
 leading axes broadcast, so ``mul`` of a ``(n, 4)`` batch and a ``(4,)``
-element is ``n`` products in one call.  A batch gives the same bits as the
-same rows taken one at a time (see ``_cmul``).
+element is ``n`` products in one call.  One rounding rule serves every
+module: each complex product is ``_cmul``'s, each dot or length ``cdot``'s and
+each modulus ``cabs``'s.  So a batch gives the bits of its rows taken one at a
+time, and a report the same bits on every x86_64 CPU.
 """
 
 import numpy as np
@@ -45,21 +47,21 @@ E3 = quat(0.0, (0.0, 0.0, 1.0))
 
 
 def _cmul(a, b):
-    """Complex product, the same bits for a batch as for its rows one by one.
-
-    One row's components are numpy scalars, whose product is formed as
-    ``ar*br - ai*bi`` with two roundings.  numpy's complex *array* multiply
-    may fuse that into one FMA and round differently, so array operands are
-    multiplied out in real arithmetic instead.
-    """
-    if not (isinstance(a, np.ndarray) or isinstance(b, np.ndarray)):
-        return a * b
+    """Complex product ``(ar*br - ai*bi) + i (ar*bi + ai*br)`` in real
+    arithmetic, one rounding per operation: numpy's complex multiply uses FMA
+    where the CPU has it.  Operands are arrays or scalars, real or complex; a
+    0-d product comes back as a numpy scalar."""
     re = a.real * b.real - a.imag * b.imag
     im = a.real * b.imag + a.imag * b.real
     out = np.empty(np.shape(re), np.complex128)
     out.real = re
     out.imag = im
-    return out
+    return out[()]
+
+
+def cabs(z):
+    """Componentwise modulus by ``hypot``: numpy's complex ``abs`` rounds differently on AVX2."""
+    return np.hypot(z.real, z.imag)
 
 
 def _components(q):
@@ -78,7 +80,7 @@ def _stack(*components):
 
 
 def cdot(a, b):
-    """Complex-bilinear dot product of 3-vectors."""
+    """Complex-bilinear dot product ``(a0 b0 + a1 b1) + a2 b2`` of 3-vectors."""
     a0, a1, a2 = _components(a)
     b0, b1, b2 = _components(b)
     return _cmul(a0, b0) + _cmul(a1, b1) + _cmul(a2, b2)

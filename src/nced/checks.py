@@ -10,6 +10,7 @@ K, and a K smaller than one is held to the bounds of a K of size one.
 import numpy as np
 
 from . import lorentz
+from .algebra import cabs
 from . import noncomm as nc
 from . import smallgroup as sg
 
@@ -50,7 +51,7 @@ def verdicts(report, k):
     if report["classification"] == nc.ZERO:
         return duality
 
-    k_max = float(np.max(np.abs(k)))
+    k_max = float(np.max(cabs(k)))
     scale = max(1.0, k_max)
     small = report["small_group"]
     canonical = report["canonical_form"]

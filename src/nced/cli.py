@@ -28,10 +28,10 @@ import sys
 from datetime import datetime, timezone
 
 # Loading numpy starts OpenBLAS's pool of nproc - 1 worker threads, about 70 ms
-# of a one-shot run, and no nced kernel is large enough to use them (every BLAS
-# call is a dot of 3-vectors; one thread gives the same bits). So the CLI loads
-# numpy with one BLAS thread, unless the user chose a count. Where numpy is
-# loaded already, the variable would reach only child processes: leave it.
+# of a one-shot run, and nced makes no BLAS call (every dot is algebra.cdot's),
+# so the pool has no work. So the CLI loads numpy with one BLAS thread, unless
+# the user chose a count. Where numpy is loaded already, the variable would
+# reach only child processes: leave it.
 if ("numpy" not in sys.modules
         and not {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys()):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
@@ -46,7 +46,7 @@ from . import duality as du
 from . import lorentz
 from . import noncomm as nc
 from . import smallgroup as sg
-from .algebra import mul
+from .algebra import cabs, cdot, mul
 from .errors import InputFormatError, NcedError, NotAntisymmetricError
 
 # the trial checks allocate arrays proportional to their count; the scan holds
@@ -200,7 +200,7 @@ def _small_group_section(d, k, trials, seed):
     # residual must reach its check and fail
     stab = sg.stabilizes(np.concatenate([samples, e1]), k)
     group_law = float(np.max(sg.group_law_check(d, e12, w[:, 0] + w[:, 1])))
-    abelian = float(np.max(np.abs(e12 - mul(e2, e1))))
+    abelian = float(np.max(cabs(e12 - mul(e2, e1))))
 
     L = _element_for(d, w_inv)
     invariance = float(np.max(sg.verify_constitutive_invariance(k, L, E, B)))
@@ -251,12 +251,12 @@ def _canonical_section(d, k):
         resid = float(np.max(np.abs(lorentz.act_vector(L, d.phi_hat).imag)))
     else:
         target = np.array([1.0, -1.0j, 0.0])
-        resid = float(np.max(np.abs(lorentz.act_vector(L, d.phi) - target)))
+        resid = float(np.max(cabs(lorentz.act_vector(L, d.phi) - target)))
     return {
         "element": _cv(L),
         "k_canonical": _cv(k_can),
         "reduction_residual": resid,
-        "k_square_drift": abs(complex(k_can @ k_can) - complex(k @ k)),
+        "k_square_drift": abs(complex(cdot(k_can, k_can)) - complex(cdot(k, k))),
     }
 
 
@@ -268,7 +268,7 @@ def _factorization_section(d):
         "of_parameter": {d.param: _c(value)},
         "rotation": _cv(rot),
         "boost": _cv(bst),
-        "recomposition_defect": float(np.max(np.abs(mul(rot, bst) - L))),
+        "recomposition_defect": float(np.max(cabs(mul(rot, bst) - L))),
     }
 
 

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import lorentz
-from .algebra import _cmul, cdot
+from .algebra import _cmul, cabs, cdot
 
 
 class FieldState(NamedTuple):
@@ -55,10 +55,10 @@ def forward(E, B, v):
     """Map (E, B) to (D, H) for medium parameters v = (epsilon, theta)."""
     E, B = np.asarray(E, float), np.asarray(B, float)
     eps, th = np.asarray(v.epsilon, float), np.asarray(v.theta, float)
-    a = eps @ E - th @ B
-    b = th @ E + eps @ B
-    eb = E @ B
-    half = 0.5 * (E @ E - B @ B)
+    a = cdot(eps, E).real - cdot(th, B).real
+    b = cdot(th, E).real + cdot(eps, B).real
+    eb = cdot(E, B).real
+    half = 0.5 * (cdot(E, E).real - cdot(B, B).real)
     D = E + a * E + b * B + eb * th + half * eps
     H = B + a * B - b * E - eb * eps + half * th
     return ExcitationState(D, H)
@@ -68,29 +68,31 @@ def inverse(D, H, v):
     """First-order inverse of ``forward``: exact to O(theta^2, epsilon^2)."""
     D, H = np.asarray(D, float), np.asarray(H, float)
     eps, th = np.asarray(v.epsilon, float), np.asarray(v.theta, float)
-    a = th @ H - eps @ D
-    b = th @ D + eps @ H
-    dh = D @ H
-    half = 0.5 * (H @ H - D @ D)
+    a = cdot(th, H).real - cdot(eps, D).real
+    b = cdot(th, D).real + cdot(eps, H).real
+    dh = cdot(D, H).real
+    half = 0.5 * (cdot(H, H).real - cdot(D, D).real)
     E = D + a * D - b * H - dh * th + half * eps
     B = H + a * H + b * D + dh * eps + half * th
     return FieldState(E, B)
 
 
+def _correction(x, k):
+    """``(x.k)* x + 1/2 (x.x)* k``, which ``h_from_f`` subtracts from f and
+    ``f_from_h`` adds to h; ``x[..., 3]`` and ``k[..., 3]`` broadcast."""
+    s_xk = cdot(x, k).conjugate()[..., None]
+    s_xx = _cmul(0.5, cdot(x, x).conjugate())[..., None]
+    return _cmul(s_xk, x) + _cmul(s_xx, k)
+
+
 def h_from_f(f, k):
     """Quaternionic forward map; ``f[..., 3]`` and ``k[..., 3]`` broadcast."""
-    # scalar on the left: numpy's FMA multiply rounds s * v and v * s
-    # differently, and one row alone forms s * v
-    s_fk = cdot(f, k).conjugate()
-    s_ff = cdot(f, f).conjugate()
-    return f - s_fk[..., None] * f - _cmul(0.5, s_ff)[..., None] * k
+    return f - _correction(f, k)
 
 
 def f_from_h(h, k):
     """Quaternionic first-order inverse map; batch-first like ``h_from_f``."""
-    s_hk = cdot(h, k).conjugate()
-    s_hh = cdot(h, h).conjugate()
-    return h + s_hk[..., None] * h + _cmul(0.5, s_hh)[..., None] * k
+    return h + _correction(h, k)
 
 
 def covariant_transport_check(k, L, E, B):
@@ -106,4 +108,4 @@ def covariant_transport_check(k, L, E, B):
     fp = lorentz.act_vector(L, f)
     kp = lorentz.act_vector(L, k)
     hp = lorentz.act_vector(L, h)
-    return np.max(np.abs(h_from_f(fp, kp) - hp), axis=-1)
+    return np.max(cabs(h_from_f(fp, kp) - hp), axis=-1)

@@ -3,24 +3,25 @@
 With ``G = f + h`` and ``R = f - h`` the constitutive system is the pair of
 orientations
 
-    D2 = h - f + (f.K)* f + 1/2 (f.f)* K      (forward relation)
-    D1 = f - h - (h.K)* h - 1/2 (h.h)* K      (its first-order inverse)
+    D2 = h - [f - (f.K)* f - 1/2 (f.f)* K]    (forward relation)
+    D1 = f - [h + (h.K)* h + 1/2 (h.h)* K]    (its first-order inverse)
 
-(conjugated bilinear dots).  A state is consistent when either orientation
-vanishes exactly; the residual reported here is the defect of the
-best-matching orientation.  Under the dual rotation ``G -> e^{i chi} G``,
-``R -> e^{-i chi} R``, ``K -> e^{i chi} K`` a quarter turn swaps the two
-orientations (up to a phase), a half turn preserves each, and any other
-angle breaks both: the surviving dual symmetry is exactly the four phases
-``e^{i chi} in {1, -1, i, -i}``.  With K = 0 (and h = f) both orientations
-vanish for every chi.
+(conjugated bilinear dots; the brackets are ``constitutive``'s two maps).
+A state is consistent when either orientation vanishes exactly; the residual
+reported here is the defect of the best-matching orientation.  Under the
+dual rotation ``G -> e^{i chi} G``, ``R -> e^{-i chi} R``, ``K -> e^{i chi} K``
+a quarter turn swaps the two orientations (up to a phase), a half turn
+preserves each, and any other angle breaks both: the surviving dual symmetry
+is exactly the four phases ``e^{i chi} in {1, -1, i, -i}``.  With K = 0
+(and h = f) both orientations vanish for every chi.
 """
 
 from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import _cmul, cdot
+from .algebra import _cmul, cabs
+from .constitutive import _correction
 from .errors import InconsistentInputError
 
 # rows of the scan evaluated at once: each row holds about 500 B of
@@ -49,39 +50,30 @@ def gr_from_fh(f, h):
 
 
 def fh_from_gr(s):
-    return 0.5 * (s.G + s.R), 0.5 * (s.G - s.R)
+    return _cmul(0.5, s.G + s.R), _cmul(0.5, s.G - s.R)
 
 
 def dual_rotate(s, k, chi):
     """Phase-rotate (G, R, K) by real duality angles ``chi``: one row per
     angle of an array, the shapes of ``s`` and ``k`` for a single angle."""
     ph = np.exp(1j * np.asarray(chi, float))[..., None]
-    return GRState(ph * s.G, s.R / ph), ph * np.asarray(k, np.complex128)
-
-
-def _gr_residual(G, R, K):
-    """Best-orientation defect per row of ``G[..., 3]``, ``R[..., 3]``, ``K[..., 3]``."""
-    f = _cmul(0.5, G + R)
-    h = _cmul(0.5, G - R)
-    s_fk = cdot(f, K).conjugate()[..., None]
-    s_ff = _cmul(0.5, cdot(f, f).conjugate())[..., None]
-    s_hk = cdot(h, K).conjugate()[..., None]
-    s_hh = _cmul(0.5, cdot(h, h).conjugate())[..., None]
-    fwd = h - f + _cmul(s_fk, f) + _cmul(s_ff, K)
-    inv = f - h - _cmul(s_hk, h) - _cmul(s_hh, K)
-    # hypot is abs() of a complex scalar bit for bit; max and minimum propagate
-    # NaN, so an overflowed component gives a NaN residual, which fails its check
-    d2 = np.max(np.hypot(fwd.real, fwd.imag), axis=-1)
-    d1 = np.max(np.hypot(inv.real, inv.imag), axis=-1)
-    return np.minimum(d1, d2)[()]
+    k = np.asarray(k, np.complex128)
+    return GRState(_cmul(ph, s.G), _cmul(ph.conj(), s.R)), _cmul(ph, k)
 
 
 def constitutive_residual_gr(s, k):
     """Max-component defect of the constitutive pair in (G, R, K) variables,
     measured against its best-matching orientation; one per row, a float for
-    a single state."""
-    G, R = np.asarray(s.G, np.complex128), np.asarray(s.R, np.complex128)
-    return _gr_residual(G, R, np.asarray(k, np.complex128))
+    a single state.  As f - h = R, the defects ``h - h_from_f(f, K)`` and
+    ``f - f_from_h(h, K)`` are formed from terms of the size of K, whose
+    rounding shrinks with K as the defects do."""
+    G, R, k = (np.asarray(x, np.complex128) for x in (s.G, s.R, k))
+    f, h = fh_from_gr(GRState(G, R))
+    # max and minimum propagate NaN, so an overflowed component gives a NaN
+    # residual, which fails its check
+    d2 = np.max(cabs(_correction(f, k) - R), axis=-1)
+    d1 = np.max(cabs(R - _correction(h, k)), axis=-1)
+    return np.minimum(d1, d2)[()]
 
 
 def duality_scan(s, k, n):
@@ -94,9 +86,8 @@ def duality_scan(s, k, n):
     """
     if n < 8:
         raise ValueError("scan resolution n must be at least 8")
-    k = np.asarray(k, np.complex128)
     pre = constitutive_residual_gr(s, k)
-    scale = max(1.0, float(np.max(np.abs(s.G))), float(np.max(np.abs(s.R)))) ** 2
+    scale = max(1.0, float(np.max(cabs(s.G))), float(np.max(cabs(s.R)))) ** 2
     # not ``pre > bound``, which a NaN residual passes
     if not pre <= CONSISTENCY_TOL * scale:
         raise InconsistentInputError(
@@ -108,5 +99,5 @@ def duality_scan(s, k, n):
     # the bits the whole grid would
     for a in range(0, n, SCAN_BLOCK):
         rotated, k_rot = dual_rotate(s, k, chis[a:a + SCAN_BLOCK])
-        residuals[a:a + SCAN_BLOCK] = _gr_residual(rotated.G, rotated.R, k_rot)
+        residuals[a:a + SCAN_BLOCK] = constitutive_residual_gr(rotated, k_rot)
     return chis, residuals

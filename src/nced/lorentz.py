@@ -37,7 +37,7 @@ def identity():
 
 def abs2(q):
     """Sum of squared component magnitudes (Hermitian size) along the last axis."""
-    return np.sum(np.abs(q) ** 2, axis=-1)
+    return np.sum(alg.cabs(q) ** 2, axis=-1)
 
 
 def make_element(k0, k):
@@ -57,15 +57,13 @@ def make_element(k0, k):
 
 def rotation(axis, chi):
     """Spatial rotation about a real unit axis by angle 2*chi."""
-    n = np.asarray(axis, float)
-    n = n / np.linalg.norm(n)
+    n = np.asarray(axis, float) / np.sqrt(alg.cdot(axis, axis).real)
     return alg.quat(np.cos(chi), np.sin(chi) * n)
 
 
 def boost(axis, beta):
     """Boost along a real unit axis with rapidity 2*beta."""
-    n = np.asarray(axis, float)
-    n = n / np.linalg.norm(n)
+    n = np.asarray(axis, float) / np.sqrt(alg.cdot(axis, axis).real)
     return alg.quat(np.cosh(beta), 1j * np.sinh(beta) * n)
 
 
@@ -148,16 +146,16 @@ def factorize(L):
     """Polar split L = rotation * boost.
 
     The boost squared is ``q = conj_complex(L) * L``, whose scalar part is
-    ``abs2(L)`` and whose norm is ``|norm(L)|^2``; so ``b = q + 1`` has
-    ``norm(b) >= 2 abs2(L) + 1 >= 1`` for every element, its principal square
-    root is never degenerate, and the boost ``b / sqrt(norm(b))`` has a real
-    scalar and an imaginary vector part by construction.  The one check kept
-    is that the remaining factor is a real rotation, which rejects non-unit
-    elements.
+    ``abs2(L)`` and whose norm is ``|norm(L)|^2 = 1``; so ``b = q + 1`` has
+    ``norm(b) = 2 b0``, b0 = 1 + abs2(L) its real scalar part, and the boost
+    ``b / sqrt(2 b0)`` has a real scalar and an imaginary vector part by
+    construction.  (``norm(b)`` itself cancels to 0 at large ``abs2(L)``.)
+    The one check kept is that the remaining factor is a real rotation, which
+    rejects non-unit elements.
     """
     q = alg.mul(alg.conj_complex(L), L)
     b = q + alg.ONE
-    bst = b / np.sqrt(alg.norm(b))
+    bst = b / np.sqrt(2.0 * b[0].real)
     rot = alg.mul(L, alg.conj_quat(bst))
     if np.max(np.abs(rot.imag)) > 1e-10 * max(1.0, abs2(L)):
         raise DegenerateError("rotation factor came out complex")

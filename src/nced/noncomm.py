@@ -13,6 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .algebra import cabs, cdot
 from .errors import NotAntisymmetricError
 
 NONISOTROPIC = "nonisotropic"
@@ -78,18 +79,18 @@ def phi_from_k(k):
 
 def invariants(k):
     k = np.asarray(k, np.complex128)
-    sq = complex(k @ k)
     th, eps = k.real, -k.imag
-    return KInvariants(sq, float(th @ th - eps @ eps), float(-2.0 * th @ eps))
+    return KInvariants(complex(cdot(k, k)), float(cdot(th, th).real - cdot(eps, eps).real),
+                       float(-2.0 * cdot(th, eps).real))
 
 
 def classify(k):
     """Zero (|K| <= CLASSIFY_TOL), isotropic (|K.K| <= CLASSIFY_TOL * |K|^2)
     or nonisotropic."""
     k = np.asarray(k, np.complex128)
-    mag2 = float(np.sum(np.abs(k) ** 2))
+    mag2 = float(np.sum(cabs(k) ** 2))
     if np.sqrt(mag2) <= CLASSIFY_TOL:
         return ZERO
-    if abs(k @ k) <= CLASSIFY_TOL * mag2:
+    if abs(cdot(k, k)) <= CLASSIFY_TOL * mag2:
         return ISOTROPIC
     return NONISOTROPIC

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import lorentz
 from . import noncomm
-from .algebra import cdot, conj_components, mul, quat
+from .algebra import _cmul, cabs, ccross, cdot, conj_components, mul, quat
 from .constitutive import f_vector, h_from_f
 from .errors import KindMismatchError, ZeroKError
 
@@ -52,25 +52,25 @@ def element(d, chi=None, w=None):
         if chi is None or w is not None:
             raise KindMismatchError("nonisotropic small group is parametrized by chi")
         chi = np.asarray(chi, np.complex128)
-        return quat(np.cos(chi), np.sin(chi)[..., None] * d.phi_hat)
+        return quat(np.cos(chi), _cmul(np.sin(chi)[..., None], d.phi_hat))
     if chi is not None or w is None:
         raise KindMismatchError("isotropic small group is parametrized by w")
     w = np.asarray(w, np.complex128)
-    return quat(1.0, w[..., None] * d.phi)
+    return quat(1.0, _cmul(w[..., None], d.phi))
 
 
 def stabilizes(L, k):
     """Max-component residual of the transported K against K itself, per row
     of ``L[..., 4]``."""
     k = np.asarray(k, np.complex128)
-    return np.max(np.abs(lorentz.act_vector(L, k) - k), axis=-1)
+    return np.max(cabs(lorentz.act_vector(L, k) - k), axis=-1)
 
 
 def group_law_check(d, product, p):
     """Defect of the additive parameter law, per row: how far ``product`` =
     L(p1)·L(p2) lies from L(p) with p = p1 + p2, the parameter named by
     ``d.param``."""
-    return np.max(np.abs(product - element(d, **{d.param: p})), axis=-1)
+    return np.max(cabs(product - element(d, **{d.param: p})), axis=-1)
 
 
 def verify_constitutive_invariance(k, L, E, B):
@@ -85,19 +85,19 @@ def verify_constitutive_invariance(k, L, E, B):
     h = h_from_f(f, k)
     fp = lorentz.act_vector(L, f)
     hp = lorentz.act_vector(L, h)
-    return np.max(np.abs(h_from_f(fp, k) - hp), axis=-1)
+    return np.max(cabs(h_from_f(fp, k) - hp), axis=-1)
 
 
 def _orthonormal_rows(r1, r2):
     """Rows r1/|r1|, the unit part of r2 orthogonal to it, and their cross
     product; None when that orthogonal part is shorter than 1e-12."""
-    r1 = r1 / np.linalg.norm(r1)
-    r2 = r2 - (r2 @ r1) * r1
-    n2 = np.linalg.norm(r2)
+    r1 = r1 / np.sqrt(cdot(r1, r1).real)
+    r2 = r2 - cdot(r2, r1).real * r1
+    n2 = np.sqrt(cdot(r2, r2).real)
     if n2 < 1e-12:
         return None
     r2 = r2 / n2
-    return np.vstack([r1, r2, np.cross(r1, r2)])
+    return np.vstack([r1, r2, ccross(r1, r2).real])
 
 
 def canonical_form(k):
@@ -116,14 +116,18 @@ def canonical_form(k):
         rot = _orthonormal_rows(n, m)
         if rot is None:   # Im phi_hat too short to orient a frame: the axis is real
             return lorentz.identity(), k.copy()
-        # null the imaginary part: after rotating (n -> a x, m -> b y), a boost
-        # along z with th(2 beta) = -b/a lands the axis exactly on x
-        beta = 0.5 * np.arctanh(-np.linalg.norm(m) / np.linalg.norm(n))
+        # null the imaginary part: after rotating (n -> a x, m -> b y), a boost along z
+        # with sinh(2 beta) = -b, cosh(2 beta) = a = sqrt(1 + b^2) lands the axis on x
+        b = np.sqrt(cdot(m, m).real)
+        ch = np.sqrt(0.5 * (np.sqrt(1.0 + b * b) + 1.0))
+        sh = -0.5 * b / ch
     else:
         p, q = d.phi.real, d.phi.imag
         rot = _orthonormal_rows(p, -q)
         # a z-boost scales the null transverse vector (1, -i, 0) by exp(-2 beta)
-        beta = 0.5 * np.log(np.linalg.norm(p))
-    n_boost = lorentz.boost((0.0, 0.0, 1.0), beta)
+        e = np.sqrt(np.sqrt(cdot(p, p).real))
+        ch, sh = 0.5 * (e + 1.0 / e), 0.5 * (e - 1.0 / e)
+    # square roots, not numpy's cosh, sinh, arctanh or log: their AVX-512 loops round differently
+    n_boost = quat(ch, (0.0, 0.0, 1j * sh))
     L = conj_components(mul(n_boost, lorentz.element_from_rotation_matrix(rot)))
     return L, lorentz.act_vector(L, k)

@@ -1,8 +1,12 @@
 """Batch-first kernels against a per-row reference, bit for bit.
 
 The references below are the scalar forms of the kernels: one element at a
-time, every component product a product of numpy scalars.  A batched kernel must return, for every row of a
-batch and for a single input, exactly the bits its reference returns.
+time, every component product a product of numpy scalars, in the kernels'
+order of operations.  numpy forms a scalar complex product as
+``ar*br - ai*bi`` with two roundings, the rule ``algebra._cmul`` keeps for
+arrays, and never fuses it into FMA as its array multiply may.  A batched
+kernel must return, for every row of a batch and for a single input, exactly
+the bits its reference returns.
 """
 
 import random
@@ -70,16 +74,20 @@ def ref_norm(q):
     return q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3]
 
 
+def ref_correction(x, k):
+    s_xk = ref_cdot(x, k).conjugate()
+    s_xx = 0.5 * ref_cdot(x, x).conjugate()
+    out = np.empty(3, np.complex128)
+    out[:] = [s_xk * x[j] + s_xx * k[j] for j in range(3)]
+    return out
+
+
 def ref_h_from_f(f, k):
-    s_fk = ref_cdot(f, k).conjugate()
-    s_ff = ref_cdot(f, f).conjugate()
-    return f - s_fk * f - 0.5 * s_ff * k
+    return f - ref_correction(f, k)
 
 
 def ref_f_from_h(h, k):
-    s_hk = ref_cdot(h, k).conjugate()
-    s_hh = ref_cdot(h, h).conjugate()
-    return h + s_hk * h + 0.5 * s_hh * k
+    return h + ref_correction(h, k)
 
 
 def ref_act_vector(L, v):
@@ -94,17 +102,23 @@ def ref_act_vector(L, v):
 def ref_element(d, chi=None, w=None, sign=1):
     q = np.zeros(4, np.complex128)
     if d.kind == nc.NONISOTROPIC:
-        chi = complex(chi)
+        chi = np.complex128(chi)
         q[0] = np.cos(chi)
-        q[1:] = np.sin(chi) * d.phi_hat
+        q[1:] = [np.sin(chi) * x for x in d.phi_hat]
         return q
     q[0] = 1.0
-    q[1:] = complex(w) * d.phi
+    q[1:] = [np.complex128(w) * x for x in d.phi]
     return sign * q
 
 
+def ref_max_abs(v):
+    """Largest modulus of a row's components, each the ``abs`` of a numpy
+    scalar, which is ``hypot``'s."""
+    return float(np.max([abs(z) for z in v]))
+
+
 def ref_stabilizes(L, k):
-    return float(np.max(np.abs(ref_act_vector(L, k) - k)))
+    return ref_max_abs(ref_act_vector(L, k) - k)
 
 
 def ref_invariance(k, L, E, B):
@@ -112,35 +126,29 @@ def ref_invariance(k, L, E, B):
     h = ref_h_from_f(f, k)
     fp = ref_act_vector(L, f)
     hp = ref_act_vector(L, h)
-    return float(np.max(np.abs(ref_h_from_f(fp, k) - hp)))
+    return ref_max_abs(ref_h_from_f(fp, k) - hp)
 
 
 def ref_covariance(E, B, k, L):
     f = ct.f_vector(E, B)
     h = ref_h_from_f(f, k)
     fp, kp, hp = ref_act_vector(L, f), ref_act_vector(L, k), ref_act_vector(L, h)
-    return float(np.max(np.abs(ref_h_from_f(fp, kp) - hp)))
+    return ref_max_abs(ref_h_from_f(fp, kp) - hp)
 
 
 def ref_gr_residual(G, R, K):
+    f = np.array([0.5 * (G[j] + R[j]) for j in range(3)])
+    h = np.array([0.5 * (G[j] - R[j]) for j in range(3)])
+    # h - h_from_f(f, K) and f - f_from_h(h, K), with f - h = R
+    c_f, c_h = ref_correction(f, K), ref_correction(h, K)
     d1 = 0.0
     d2 = 0.0
-    f0, f1, f2 = 0.5 * (G[0] + R[0]), 0.5 * (G[1] + R[1]), 0.5 * (G[2] + R[2])
-    h0, h1, h2 = 0.5 * (G[0] - R[0]), 0.5 * (G[1] - R[1]), 0.5 * (G[2] - R[2])
-    s_fk = (f0 * K[0] + f1 * K[1] + f2 * K[2]).conjugate()
-    s_ff = (f0 * f0 + f1 * f1 + f2 * f2).conjugate()
-    s_hk = (h0 * K[0] + h1 * K[1] + h2 * K[2]).conjugate()
-    s_hh = (h0 * h0 + h1 * h1 + h2 * h2).conjugate()
-    fs = (f0, f1, f2)
-    hs = (h0, h1, h2)
     for j in range(3):
-        fwd = hs[j] - fs[j] + s_fk * fs[j] + 0.5 * s_ff * K[j]
-        inv = fs[j] - hs[j] - s_hk * hs[j] - 0.5 * s_hh * K[j]
         # a NaN component, once met, stays
-        m = abs(fwd)
+        m = abs(c_f[j] - R[j])
         if m > d2 or m != m:
             d2 = m
-        m = abs(inv)
+        m = abs(R[j] - c_h[j])
         if m > d1 or m != m:
             d1 = m
     return d1 if d1 < d2 or d1 != d1 else d2
@@ -148,14 +156,16 @@ def ref_gr_residual(G, R, K):
 
 def ref_dual_rotate(s, k, chi):
     ph = np.exp(1j * float(chi))
-    return du.GRState(ph * s.G, s.R / ph), ph * k
+    return (du.GRState(np.array([ph * g for g in s.G]),
+                       np.array([ph.conjugate() * r for r in s.R])),
+            np.array([ph * x for x in k]))
 
 
 def ref_scan(G, R, K, chis):
     out = np.empty(chis.shape[0], np.float64)
     for i in range(chis.shape[0]):
-        ph = np.exp(1j * chis[i])
-        out[i] = ref_gr_residual(ph * G, R / ph, ph * K)
+        rotated, k_rot = ref_dual_rotate(du.GRState(G, R), K, chis[i])
+        out[i] = ref_gr_residual(rotated.G, rotated.R, k_rot)
     return out
 
 
@@ -267,7 +277,7 @@ def test_smallgroup_kernels_match_rowwise_reference(kind):
         assert_same_bits(-1 * sg.element(d, w=z[0, 0]), ref_element(d, w=z[0, 0], sign=-1))
     assert_same_bits(e1, ref1)
     assert_same_bits(e2, ref2)
-    assert_same_bits(law, [float(np.max(np.abs(ref_mul(a, b) - t)))
+    assert_same_bits(law, [ref_max_abs(ref_mul(a, b) - t)
                            for a, b, t in zip(ref1, ref2, target)])
     assert_same_bits(sg.stabilizes(e1, k), [ref_stabilizes(L, k) for L in ref1])
     assert_same_bits(sg.stabilizes(e1[0], k), ref_stabilizes(ref1[0], k))
@@ -293,13 +303,14 @@ def test_covariance_matches_rowwise_reference():
 def test_gr_residual_matches_rowwise_reference():
     rng = np.random.default_rng(7)
     G, R, K = rand_complex(rng, N, 3), rand_complex(rng, N, 3), rand_complex(rng, N, 3)
-    assert_same_bits(du._gr_residual(G, R, K),
+    assert_same_bits(du.constitutive_residual_gr(du.GRState(G, R), K),
                      [ref_gr_residual(g, r, k) for g, r, k in zip(G, R, K)])
-    assert_same_bits(du._gr_residual(G[0], R[0], K[0]), ref_gr_residual(G[0], R[0], K[0]))
+    assert_same_bits(du.constitutive_residual_gr(du.GRState(G[0], R[0]), K[0]),
+                     ref_gr_residual(G[0], R[0], K[0]))
     # a NaN component makes its row NaN; the bits of a NaN may differ
     G[::3, 1] = complex(np.nan, 0.0)
     R[1::3, 2] = complex(0.0, np.nan)
-    got = du._gr_residual(G, R, K)
+    got = du.constitutive_residual_gr(du.GRState(G, R), K)
     want = np.array([ref_gr_residual(g, r, k) for g, r, k in zip(G, R, K)])
     assert np.array_equal(np.isnan(got), np.isnan(want))
     assert np.isnan(got).sum() == 2 * N // 3 + 1
@@ -346,7 +357,7 @@ def test_duality_scan_matches_rowwise_reference(kind):
 @pytest.mark.parametrize("kind", list(RAND_K))
 def test_blocked_duality_scan_matches_whole_grid(kind):
     """The scan, taken ``SCAN_BLOCK`` angles at a time, gives the bits of
-    ``_gr_residual`` on the whole grid in one call."""
+    ``constitutive_residual_gr`` on the whole grid in one call."""
     rng = np.random.default_rng(9)
     k = RAND_K[kind](rng)
     f = ct.f_vector(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3))
@@ -354,8 +365,8 @@ def test_blocked_duality_scan_matches_whole_grid(kind):
     b = du.SCAN_BLOCK
     for n in (8, b - 1, b, b + 1, 2 * b + 1, 10_000):
         chis, res = du.duality_scan(state, k, n)
-        ph = np.exp(1j * chis)[:, None]
-        assert_same_bits(res, du._gr_residual(ph * state.G, state.R / ph, ph * k))
+        rotated, k_rot = du.dual_rotate(state, k, chis)
+        assert_same_bits(res, du.constitutive_residual_gr(rotated, k_rot))
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,9 @@ def load(path):
 
 def rows(k, peak):
     """Each check's value path, bound and side (``upper``: passes at or
-    below the bound; ``lower``: at or above), as documented in the README."""
-    k_max = float(np.max(np.abs(k)))
+    below the bound; ``lower``: at or above), as documented in the README.
+    Each |K_i| is hypot's, as in ``checks.verdicts``."""
+    k_max = float(np.max(np.hypot(k.real, k.imag)))
     scale = max(1.0, k_max)
     small = [
         ("stabilizer", ("small_group", "max_stabilizer_residual"), 1e-11 * scale, "upper"),

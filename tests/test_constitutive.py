@@ -22,15 +22,20 @@ GOLDEN = Path(__file__).parent / "data" / "golden"
 
 # ---------------------------------------------------------------------------
 # independent oracle: a fresh transcription of the forward map, written
-# against the displayed term list rather than sharing code with the library
+# against the displayed term list rather than sharing code with the library;
+# its dots are summed in the library's order, (a0 b0 + a1 b1) + a2 b2
+
+
+def dot(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
 def forward_oracle(E, B, eps, th):
     E, B, eps, th = map(np.asarray, (E, B, eps, th))
-    br1 = (eps @ E) - (th @ B)
-    br2 = (th @ E) + (eps @ B)
-    D = E + br1 * E + br2 * B + (E @ B) * th + 0.5 * (E @ E - B @ B) * eps
-    H = B + br1 * B - br2 * E - (E @ B) * eps + 0.5 * (E @ E - B @ B) * th
+    br1 = dot(eps, E) - dot(th, B)
+    br2 = dot(th, E) + dot(eps, B)
+    D = E + br1 * E + br2 * B + dot(E, B) * th + 0.5 * (dot(E, E) - dot(B, B)) * eps
+    H = B + br1 * B - br2 * E - dot(E, B) * eps + 0.5 * (dot(E, E) - dot(B, B)) * th
     return D, H
 
 

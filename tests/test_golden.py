@@ -1,8 +1,11 @@
 """Reports and CSVs stay byte-identical, apart from ``generated_at``, to the
-golden files in ``tests/data/golden`` (see the README there). A report that
-differs names the keys that moved."""
+golden files in ``tests/data/golden`` (see the README there), also with
+numpy's SIMD dispatch turned off and under other OpenBLAS kernels. A report
+that differs names the keys that moved."""
 
+import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -80,3 +83,57 @@ def test_module_entry_point_matches_golden(kind, blas_threads, tmp_path):
     assert out.returncode == 0, out.stderr
     assert out.stderr == b""
     assert_matches_golden(report, f"{kind}.default.report.yaml")
+
+
+# each nonzero golden report and both CSVs, as (report, CSV or None, flags)
+PORTABLE = [(f"{kind}.{flags}.report.yaml", None, FLAGS[flags]) for kind, flags in CASES
+            if kind != "zero" and (kind, flags) != ("nonisotropic", "default")] + [
+    ("nonisotropic.default.report.yaml", "nonisotropic.scan.csv", []),
+    ("nonisotropic.scan1500.report.yaml", "nonisotropic.scan1500.csv", ["--scan-n", "1500"]),
+]
+
+# writes each report of PORTABLE, from the argument list of the test below
+_WRITE_ALL = """
+import json, sys
+from nced.cli import main
+out, jobs = sys.argv[1], json.loads(sys.argv[2])
+for report, csv, flags in jobs:
+    extra = ["--csv", f"{out}/{csv}"] if csv else []
+    args = ["analyze", "--input", report.split(".")[0] + ".yaml",
+            "--report", f"{out}/{report}", *extra, *flags]
+    assert main(args) == 0, report
+"""
+
+
+def _settings():
+    """The child-process settings under which the reports must keep their
+    bytes: numpy without its dispatched SIMD targets (FMA among them), then
+    the OpenBLAS kernels of an AVX2 and of an SSE4.2 CPU."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__
+    blas = [{"OPENBLAS_CORETYPE": "Haswell"}, {"OPENBLAS_CORETYPE": "Nehalem"}]
+    if not __cpu_dispatch__:
+        return blas
+    return [{"NPY_DISABLE_CPU_FEATURES": " ".join(__cpu_dispatch__)}] + blas
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
+                    reason="the settings name x86_64 SIMD targets and kernels")
+def test_reports_keep_their_bytes_on_other_cpu_paths(tmp_path):
+    runs = []
+    for i, setting in enumerate(_settings()):
+        out = tmp_path / str(i)
+        out.mkdir()
+        runs.append((setting, out, subprocess.Popen(
+            [sys.executable, "-c", _WRITE_ALL, str(out), json.dumps(PORTABLE)],
+            cwd=GOLDEN, env={**os.environ, **setting},
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)))
+    moved = []
+    for setting, out, proc in runs:
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, (setting, err)
+        for report, csv, _ in PORTABLE:
+            if body(out / report) != (GOLDEN / report).read_bytes():
+                moved.append((setting, report))
+            if csv and (out / csv).read_bytes() != (GOLDEN / csv).read_bytes():
+                moved.append((setting, csv))
+    assert moved == []

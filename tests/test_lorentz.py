@@ -6,8 +6,9 @@ import pytest
 
 from nced import algebra as alg
 from nced import lorentz as lo
+from nced import smallgroup as sg
 from nced.errors import DegenerateError, NotUnitError
-from conftest import rand_rotation, rand_unit_element
+from conftest import rand_isotropic_k, rand_rotation, rand_unit_element
 
 
 def rand_cvec(rng):
@@ -265,6 +266,19 @@ def test_unchecked_identities_hold_for_non_unit_elements():
 def test_factorize_rejects_non_unit_element():
     with pytest.raises(DegenerateError, match="rotation factor"):
         lo.factorize(1j * lo.rotation((0, 0, 1), 0.3))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("size", [1e8, 1e9, 1e12])
+def test_factorize_large_isotropic_elements(size):
+    """With |theta| = |epsilon| = size, the bilinear norm of
+    ``conj_complex(L)·L + 1`` cancels to 0 for some L = 1 + phi; the boost's
+    divisor, from that element's scalar part, does not."""
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        d = sg.describe(rand_isotropic_k(rng, (size, size)))
+        rot, bst = lo.factorize(sg.element(d, w=1.0))
+        assert np.all(np.isfinite(rot)) and np.all(np.isfinite(bst))
 
 
 def test_element_from_rotation_matrix_roundtrip():
