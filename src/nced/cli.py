@@ -47,7 +47,7 @@ from . import lorentz
 from . import noncomm as nc
 from . import smallgroup as sg
 from .algebra import cabs, cdot, mul
-from .errors import InputFormatError, NcedError, NotAntisymmetricError
+from .errors import InputFormatError, NcedError
 
 # the trial checks allocate arrays proportional to their count; the scan holds
 # about 32 B per angle (its angles, residuals and table) plus one block
@@ -434,7 +434,7 @@ def main(argv=None):
         return 2
     try:
         report, code = run_analysis(args)
-    except (InputFormatError, NotAntisymmetricError) as exc:
+    except InputFormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except NcedError as exc:

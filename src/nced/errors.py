@@ -5,14 +5,6 @@ class NcedError(Exception):
     """Base class for all package errors."""
 
 
-class NotUnitError(NcedError):
-    """Candidate Lorentz element is too far from unit norm."""
-
-
-class NotAntisymmetricError(NcedError):
-    """Noncommutativity matrix is not antisymmetric."""
-
-
 class ZeroKError(NcedError):
     """Noncommutativity vector is zero: the stabilizer is the full group."""
 
@@ -31,3 +23,7 @@ class InconsistentInputError(NcedError):
 
 class InputFormatError(NcedError):
     """Analysis input file is malformed."""
+
+
+class NotAntisymmetricError(InputFormatError):
+    """Noncommutativity matrix is not antisymmetric."""

@@ -3,7 +3,8 @@
 Elements are length-4 complex arrays with ``norm(L) = 1``.  Real elements are
 spatial rotations; elements with real scalar and imaginary vector part are
 boosts.  The native group parameter is a half-angle: ``rotation(n, chi)``
-rotates by ``2*chi`` and ``boost(n, beta)`` has rapidity ``2*beta``.
+rotates by ``2*chi`` and ``boost(n, beta)`` has rapidity ``2*beta``.  Elements
+are unit by construction; none is renormalized, and the report rows check them.
 
 Convention notes (fixed here once, used consistently everywhere):
 
@@ -21,14 +22,9 @@ Convention notes (fixed here once, used consistently everywhere):
 import numpy as np
 
 from . import algebra as alg
-from .errors import DegenerateError, NotUnitError
+from .errors import DegenerateError
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
-
-# unit biquaternions: norm defect above which construction fails / below
-# which the element is accepted without renormalization
-UNIT_REJECT = 1e-9
-UNIT_CLEAN = 1e-12
 
 
 def identity():
@@ -38,21 +34,6 @@ def identity():
 def abs2(q):
     """Sum of squared component magnitudes (Hermitian size) along the last axis."""
     return np.sum(alg.cabs(q) ** 2, axis=-1)
-
-
-def make_element(k0, k):
-    """Validate (k0, k) as a unit biquaternion.
-
-    Defects up to 1e-9 are repaired by dividing by the principal square root
-    of the bilinear norm; anything larger raises NotUnitError.
-    """
-    L = alg.quat(k0, np.asarray(k, np.complex128))
-    defect = abs(alg.norm(L) - 1.0)
-    if defect > UNIT_REJECT:
-        raise NotUnitError(f"norm defect {defect:.3e} exceeds {UNIT_REJECT:.1e}")
-    if defect > UNIT_CLEAN:
-        L = L / np.sqrt(alg.norm(L))
-    return L
 
 
 def rotation(axis, chi):
@@ -67,12 +48,6 @@ def boost(axis, beta):
     return alg.quat(np.cosh(beta), 1j * np.sinh(beta) * n)
 
 
-def compose(L1, L2):
-    """Group product; renormalized when floating error accumulates."""
-    L = alg.mul(L1, L2)
-    return make_element(L[0], L[1:])
-
-
 def inverse(L):
     return alg.conj_quat(L)
 
@@ -80,8 +55,8 @@ def inverse(L):
 def act_vector(L, v):
     """Transform a complex 3-vector; the SO(3,C) action of the element.
 
-    ``L[..., 4]`` and ``v[..., 3]`` broadcast.  For ``n = (a, u)`` and a pure
-    vector ``v`` the scalar part of the sandwich ``n v conj_quat(n)`` is
+    Unit ``L[..., 4]`` and ``v[..., 3]`` broadcast.  For ``n = (a, u)`` and a
+    pure vector ``v`` the scalar part of the sandwich ``n v conj_quat(n)`` is
     ``-a u.v + a v.u + (u x v).u = 0`` for every element, unit or not, so it
     is dropped unchecked: no bound on it could reject a corrupted element.
     """
@@ -92,9 +67,9 @@ def act_vector(L, v):
 
 
 def so3c_entries(q):
-    """Complex orthogonal 3x3 matrix of the two-to-one map from a unit
-    biquaternion q = (k0, k1, k2, k3); it fixes q's own vector part. An
-    object array of symbols gives the symbolic matrix."""
+    """Complex orthogonal 3x3 matrix of the two-to-one map from one unit
+    biquaternion q = (k0, k1, k2, k3), unchecked; it fixes q's own vector
+    part.  An object array of symbols gives the symbolic matrix."""
     k0, k1, k2, k3 = q[0], q[1], q[2], q[3]
     o = np.empty((3, 3), np.result_type(q, np.complex128))
     o[0, 0] = 1.0 - 2.0 * (k2 * k2 + k3 * k3)
@@ -165,8 +140,8 @@ def factorize(L):
 
 
 def element_from_rotation_matrix(r):
-    """Real unit biquaternion whose action matrix equals the given real
-    orthogonal matrix (Shepperd's method)."""
+    """Real unit biquaternion whose action matrix equals ``r`` (Shepperd's
+    method); ``r`` must be real orthogonal of determinant 1, and is unchecked."""
     r = np.asarray(r, float)
     t = np.trace(r)
     if t > 0:
@@ -194,4 +169,4 @@ def element_from_rotation_matrix(r):
             x = (r[0, 2] + r[2, 0]) / s
             y = (r[1, 2] + r[2, 1]) / s
             z = 0.25 * s
-    return make_element(w, (x, y, z))
+    return alg.quat(w, (x, y, z))

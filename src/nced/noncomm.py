@@ -41,8 +41,7 @@ def vectors_from_tensor(t):
     t = np.asarray(t, float)
     if t.shape != (4, 4):
         raise NotAntisymmetricError(f"expected a 4x4 matrix, got shape {t.shape}")
-    scale = max(1.0, float(np.max(np.abs(t))))
-    if np.max(np.abs(t + t.T)) > 1e-12 * scale:
+    if np.max(np.abs(t + t.T)) > 1e-12 * np.max(np.abs(t)):
         raise NotAntisymmetricError("matrix is not antisymmetric")
     epsilon = np.array([t[1, 0], t[2, 0], t[3, 0]])
     theta = np.array([-t[2, 3], -t[3, 1], -t[1, 2]])

@@ -1,5 +1,8 @@
 """Biquaternion arithmetic against an independent structure-constant oracle."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 
 from nced import algebra as alg
@@ -171,3 +174,22 @@ def test_parts_roundtrip():
     q = alg.quat(2.0 + 1j, (1, 2, 3))
     assert alg.scalar_part(q) == 2.0 + 1j
     assert np.array_equal(alg.vector_part(q), np.array([1, 2, 3], complex))
+
+
+# numpy routes these to BLAS kernels that OpenBLAS picks per CPU, outside the
+# rounding rule of the module docstring
+BLAS_ROUTES = {"dot", "vdot", "inner", "matmul", "einsum", "tensordot", "linalg"}
+
+
+def test_package_makes_no_blas_call():
+    found = []
+    for path in sorted(Path(alg.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append(f"{path.name}:{node.lineno}: @")
+            elif isinstance(node, ast.Attribute) and node.attr in BLAS_ROUTES:
+                found.append(f"{path.name}:{node.lineno}: .{node.attr}")
+            elif isinstance(node, ast.ImportFrom):
+                names = {a.name for a in node.names} | set((node.module or "").split("."))
+                found += [f"{path.name}:{node.lineno}: import {n}" for n in names & BLAS_ROUTES]
+    assert not found, found

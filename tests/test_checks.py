@@ -149,8 +149,8 @@ def test_zero_report_gets_only_duality_rows():
 
 # Inputs that exited 1 with only distinguishes_nonmembers false while its
 # bound was floored at 1e-4: the nonmember residual is of degree 1 in K.
-# The isotropic ones from 3e-9 to 1e-7 exited 1 while the canonical element
-# was renormalized, or rejected as non-unit, by make_element.
+# The isotropic ones from 3e-9 to 1e-7 exited 1 when a unit-norm check
+# renormalized the canonical element or rejected it as non-unit.
 SMALL = [("nonisotropic", m) for m in (3e-9, 1e-8, 1e-7, 1e-6, 1e-5)] + \
         [("isotropic", m) for m in (3e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)]
 

@@ -85,10 +85,13 @@ def test_zero_tensor_note(tmp_path):
 
 
 def test_non_antisymmetric_exit_2(tmp_path, capsys):
-    text = "theta_matrix: [[0,1,0,0],[1,0,0,0],[0,0,0,0],[0,0,0,0]]\n"
-    code, _ = run(tmp_path, text)
-    assert code == 2
-    assert "input error" in capsys.readouterr().err
+    # the second matrix is symmetric with entries far below 1: the bound on
+    # |T + T^T| is relative to max|T| at every scale
+    for rows in ("[0,1,0,0],[1,0,0,0],[0,0,0,0],[0,0,0,0]",
+                 "[0,0,0,0],[0,0,3.0e-13,0],[0,3.0e-13,0,0],[0,0,0,0]"):
+        code, _ = run(tmp_path, f"theta_matrix: [{rows}]\n")
+        assert code == 2
+        assert "input error: matrix is not antisymmetric" in capsys.readouterr().err
 
 
 def test_both_forms_rejected(tmp_path):

@@ -247,10 +247,20 @@ def near_isotropic_k(rng, r):
     return nc.k_from_vectors(nc.ThetaVectors(e, t))
 
 
-@pytest.mark.parametrize("kind", ["isotropic", "nonisotropic", "near-isotropic"])
+def nearly_real_k(rng, r):
+    """Nonisotropic K with |epsilon| = r |theta|: Im phi_hat is of order r."""
+    t = rng.normal(size=3)
+    e = rng.normal(size=3)
+    e *= r * np.linalg.norm(t) / np.linalg.norm(e)
+    return nc.k_from_vectors(nc.ThetaVectors(e, t))
+
+
+@pytest.mark.parametrize("kind", ["isotropic", "nonisotropic", "near-isotropic",
+                                  "nearly-real"])
 def test_canonical_element_norm_defect_is_rounding(kind):
     # a unit rotation times a unit boost: the product's norm defect is its
-    # own rounding, so canonical_form need not renormalize it (worst seen 6)
+    # own rounding, so canonical_form need not renormalize it (worst seen 6);
+    # nearly-real K orients the rotation's frame by a tiny Im phi_hat
     rng = np.random.default_rng(16)
     u = np.finfo(float).eps / 2
     for m in np.logspace(-8, 8, 17):
@@ -259,8 +269,10 @@ def test_canonical_element_norm_defect_is_rounding(kind):
                 k = rand_isotropic_k(rng)
             elif kind == "nonisotropic":
                 k = rand_nonisotropic_k(rng)
-            else:
+            elif kind == "near-isotropic":
                 k = near_isotropic_k(rng, 10.0 ** rng.uniform(-8, -1))
+            else:
+                k = nearly_real_k(rng, 10.0 ** rng.uniform(-16, -4))
             L, _ = sg.canonical_form(m * k)
             assert abs(alg.norm(L) - 1.0) <= 16 * u * lo.abs2(L), (m, k)
 
