@@ -16,6 +16,46 @@ def rand_cvec(rng):
 
 
 # ---------------------------------------------------------------------------
+# construction: elements are unit as built and are never renormalized
+
+EPS = np.finfo(float).eps
+
+
+def test_identity_is_exact_unit():
+    L = lo.identity()
+    assert np.array_equal(L, np.array([1, 0, 0, 0], np.complex128))
+    assert alg.norm(L) == 1.0
+
+
+def test_rotation_and_boost_norm_defect_is_rounding():
+    # cos^2 + sin^2 and cosh^2 - sinh^2 each round a few times; the boost's
+    # terms grow like cosh(beta)^2, so its defect is relative to that size
+    rng = np.random.default_rng(18)
+    for _ in range(200):
+        n = rng.normal(size=3)
+        chi = rng.uniform(-np.pi, np.pi)
+        beta = rng.uniform(-5.0, 5.0)
+        assert abs(alg.norm(lo.rotation(n, chi)) - 1.0) <= 8 * EPS
+        size = np.cosh(beta) ** 2
+        assert abs(alg.norm(lo.boost(n, beta)) - 1.0) <= 8 * EPS * size
+
+
+@pytest.mark.parametrize("angle", [0.3, 2.0, 3.0])
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_element_from_rotation_matrix_is_unit_as_built(axis, angle):
+    # angles past 2*pi/3 make the trace negative, so Shepperd's method takes
+    # the branch of the largest diagonal entry, which is the rotation axis
+    n = np.eye(3)[axis] + 0.05 * np.array([1.0, -1.0, 0.5])
+    q = lo.rotation(n, angle / 2)
+    r = lo.so3c_entries(q).real
+    q2 = lo.element_from_rotation_matrix(r)
+    assert np.all(q2.imag == 0.0)
+    assert abs(alg.norm(q2) - 1.0) <= 16 * EPS
+    sign = 1.0 if np.abs(q2 - q).max() < np.abs(q2 + q).max() else -1.0
+    assert np.max(np.abs(sign * q2 - q)) <= 1e-14
+
+
+# ---------------------------------------------------------------------------
 # vector action and SO(3,C) matrices
 
 
