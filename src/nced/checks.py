@@ -14,14 +14,11 @@ from .algebra import cabs
 from . import noncomm as nc
 from . import smallgroup as sg
 
-LAB_AXES = ((1.0, 0, 0), (0, 1.0, 0), (0, 0, 1.0))
-
 
 def nonmember_residual(k):
     """Largest stabilizer residual of the rotations by 1 about the three lab
     axes; no K is fixed by all three, and the residual is of degree 1 in K."""
-    rotations = np.array([lorentz.rotation(axis, 0.5) for axis in LAB_AXES])
-    return float(np.max(sg.stabilizes(rotations, k)))
+    return float(np.max(sg.stabilizes(lorentz.rotation(np.eye(3), 0.5), k)))
 
 
 def offgrid_min(chis, residuals):

@@ -15,7 +15,8 @@ failed, 2 malformed input (including non-finite or boolean entries, an
 |K|^2 that overflows a float, ``--trials`` or ``--scan-n`` above
 ``MAX_COUNT``, a negative ``--seed``, a ``--report`` or ``--csv`` path that
 cannot be written, an input file that is not valid UTF-8 or UTF-16, an
-input nested too deeply for the parser, and unknown options).
+input nested too deeply for the parser, a top-level key other than the three
+above, and unknown options).
 
 The sections below only compute report values; every pass bound is a row of
 ``nced.checks.verdicts``.
@@ -58,23 +59,15 @@ _DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 
 # ---------------------------------------------------------------------------
-# serialization helpers: complex -> [re, im]
+# serialization helpers
 
-def _c(z):
-    z = complex(z)
-    return [float(z.real) + 0.0, float(z.imag) + 0.0]
-
-
-def _cv(v):
-    return [_c(z) for z in np.asarray(v, np.complex128)]
-
-
-def _fv(v):
-    return [float(x) + 0.0 for x in np.asarray(v, float)]
-
-
-def _mat(m):
-    return [_fv(row) for row in np.asarray(m, float)]
+def _floats(x):
+    """The number or array ``x`` as (nested lists of) Python floats, as the
+    report writes them: a complex number as ``[re, im]``, -0.0 as 0.0."""
+    x = np.asarray(x)
+    if np.iscomplexobj(x):
+        x = np.stack([x.real, x.imag], axis=-1)
+    return (x.astype(float) + 0.0).tolist()
 
 
 _NON_FINITE = {"nan": ".nan", "inf": ".inf", "-inf": "-.inf"}
@@ -134,6 +127,9 @@ def load_input(path):
 def _theta_vectors(doc):
     if not isinstance(doc, dict):
         raise InputFormatError("input must be a mapping")
+    unknown = doc.keys() - {"theta_matrix", "epsilon", "theta"}
+    if unknown:
+        raise InputFormatError(f"unknown key {', '.join(sorted(map(repr, unknown)))}")
     has_matrix = "theta_matrix" in doc
     has_vectors = "epsilon" in doc or "theta" in doc
     if has_matrix and has_vectors:
@@ -208,8 +204,8 @@ def _small_group_section(d, k, trials, seed):
     section = {
         "kind": d.kind,
         "sample_elements": [
-            {"parameter": {d.param: _c(value)}, "element": _cv(e), "stabilizer_residual": r}
-            for value, e, r in zip(values, samples, stab.tolist())],
+            {"parameter": {d.param: value}, "element": e, "stabilizer_residual": r}
+            for value, e, r in zip(_floats(values), _floats(samples), stab.tolist())],
         "max_stabilizer_residual": float(np.max(stab)),
         "group_law_defect": group_law,
         "abelian_defect": abelian,
@@ -217,10 +213,10 @@ def _small_group_section(d, k, trials, seed):
         "nonmember_rotation_residual": checks.nonmember_residual(k),
     }
     if d.kind == nc.NONISOTROPIC:
-        section["phi_hat"] = _cv(d.phi_hat)
-        section["sqrt_square"] = _c(d.sqrt_square)
+        section["phi_hat"] = _floats(d.phi_hat)
+        section["sqrt_square"] = _floats(d.sqrt_square)
     else:
-        section["phi"] = _cv(d.phi)
+        section["phi"] = _floats(d.phi)
     return section
 
 
@@ -237,8 +233,8 @@ def _covariance_check(k):
     boosts that reject a map built on one. Their Σ|qᵢ|² = cosh 2.6 ≈ 6.8 is
     the size of the largest elements the check once drew at random (≤ 8).
     """
-    rot = np.array([lorentz.rotation(a, 0.7) for a in checks.LAB_AXES])
-    bst = np.array([lorentz.boost(a, 1.3) for a in checks.LAB_AXES])
+    rot = lorentz.rotation(np.eye(3), 0.7)
+    bst = lorentz.boost(np.eye(3), 1.3)
     L = np.concatenate([rot, bst, mul(rot[:, None], bst).reshape(9, 4)])
     E = np.vstack([np.eye(3), du.GENERIC_E])
     B = np.vstack([np.roll(np.eye(3), 1, axis=1), du.GENERIC_B])
@@ -253,8 +249,8 @@ def _canonical_section(d, k):
         target = np.array([1.0, -1.0j, 0.0])
         resid = float(np.max(cabs(lorentz.act_vector(L, d.phi) - target)))
     return {
-        "element": _cv(L),
-        "k_canonical": _cv(k_can),
+        "element": _floats(L),
+        "k_canonical": _floats(k_can),
         "reduction_residual": resid,
         "k_square_drift": abs(complex(cdot(k_can, k_can)) - complex(cdot(k, k))),
     }
@@ -265,9 +261,9 @@ def _factorization_section(d):
     L = _element_for(d, value)
     rot, bst = lorentz.factorize(L)
     return {
-        "of_parameter": {d.param: _c(value)},
-        "rotation": _cv(rot),
-        "boost": _cv(bst),
+        "of_parameter": {d.param: _floats(value)},
+        "rotation": _floats(rot),
+        "boost": _floats(bst),
         "recomposition_defect": float(np.max(cabs(mul(rot, bst) - L))),
     }
 
@@ -302,11 +298,13 @@ def _csv_rows(block):
 
 # ---------------------------------------------------------------------------
 
+@np.errstate(all="ignore")
 def analyze(tv, path, scan_n, trials, seed):
     """The report of the noncommutativity vectors ``tv``, built in memory:
     no file is read or written, and ``path`` is only echoed as
     ``input.path``. A count out of range or a negative seed raises
-    InputFormatError.
+    InputFormatError. numpy's floating-point warnings are off: a NaN or inf
+    value fails its row of ``checks``, or the duality scan rejects its state.
 
     ``duality.table`` is the ``(scan_n, 2)`` float array of ``[chi,
     residual]`` rows, not a list; every other value is a plain Python value.
@@ -327,9 +325,9 @@ def analyze(tv, path, scan_n, trials, seed):
         "tool_version": __version__,
         "input": {
             "path": str(path),
-            "epsilon": _fv(tv.epsilon),
-            "theta": _fv(tv.theta),
-            "theta_matrix": _mat(nc.tensor_from_vectors(tv)),
+            "epsilon": _floats(tv.epsilon),
+            "theta": _floats(tv.theta),
+            "theta_matrix": _floats(nc.tensor_from_vectors(tv)),
         },
         "config": {
             "scan_n": scan_n,
@@ -337,9 +335,9 @@ def analyze(tv, path, scan_n, trials, seed):
             "seed": seed,
             "classify_tol": nc.CLASSIFY_TOL,
         },
-        "k_vector": _cv(k),
+        "k_vector": _floats(k),
         "invariants": {
-            "k_square": _c(inv.square),
+            "k_square": _floats(inv.square),
             "theta_sq_minus_eps_sq": inv.re_part + 0.0,
             "theta_dot_eps": -0.5 * inv.im_part + 0.0,
         },

@@ -36,16 +36,20 @@ def abs2(q):
     return np.sum(alg.cabs(q) ** 2, axis=-1)
 
 
+def _unit(axis):
+    """Each real axis of ``axis[..., 3]`` divided by its length."""
+    axis = np.asarray(axis, float)
+    return axis / np.sqrt(alg.cdot(axis, axis).real)[..., None]
+
+
 def rotation(axis, chi):
-    """Spatial rotation about a real unit axis by angle 2*chi."""
-    n = np.asarray(axis, float) / np.sqrt(alg.cdot(axis, axis).real)
-    return alg.quat(np.cos(chi), np.sin(chi) * n)
+    """Spatial rotation about each real axis of ``axis[..., 3]`` by angle 2*chi."""
+    return alg.quat(np.cos(chi), np.sin(chi) * _unit(axis))
 
 
 def boost(axis, beta):
-    """Boost along a real unit axis with rapidity 2*beta."""
-    n = np.asarray(axis, float) / np.sqrt(alg.cdot(axis, axis).real)
-    return alg.quat(np.cosh(beta), 1j * np.sinh(beta) * n)
+    """Boost along each real axis of ``axis[..., 3]`` with rapidity 2*beta."""
+    return alg.quat(np.cosh(beta), 1j * np.sinh(beta) * _unit(axis))
 
 
 def inverse(L):
@@ -91,30 +95,23 @@ def so3c_matrix(L):
 
 
 def act_four_vector(L, a0, a):
-    """Transform a real four-vector (a0, a); returns real (a0', a').
+    """Transform real four-vectors (a0, a); returns real (a0', a').
+    ``L[..., 4]``, ``a0[...]`` and ``a[..., 3]`` broadcast.
 
     ``conj_complex`` reverses products and sends ``A = -i a0 + a`` to ``-A``,
     so the transported encoding is again ``-i b0 + b`` with real ``b0`` and
     ``b`` for every element, unit or not; the imaginary rounding residue is
     dropped unchecked.
     """
-    A = alg.quat(-1j * a0, np.asarray(a, np.complex128))
+    A = alg.quat(-1j * np.asarray(a0, float), a)
     r = alg.mul(alg.mul(alg.conj_components(L), A), alg.conj_quat(L))
-    return float((1j * r[0]).real), r[1:4].real.copy()
+    return (1j * r[..., 0]).real, r[..., 1:4].real
 
 
 def lorentz_matrix4(L):
     """4x4 matrix of the four-vector action, columns = transformed basis."""
-    m = np.empty((4, 4))
-    for mu in range(4):
-        a0 = 1.0 if mu == 0 else 0.0
-        a = np.zeros(3)
-        if mu > 0:
-            a[mu - 1] = 1.0
-        b0, b = act_four_vector(L, a0, a)
-        m[0, mu] = b0
-        m[1:, mu] = b
-    return m
+    b0, b = act_four_vector(L, np.eye(4)[0], np.eye(4)[:, 1:])
+    return np.vstack([b0, b.T])
 
 
 def factorize(L):

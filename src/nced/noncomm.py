@@ -52,9 +52,8 @@ def tensor_from_vectors(v):
     """Inverse of vectors_from_tensor; exact round trip."""
     eps, th = np.asarray(v.epsilon, float), np.asarray(v.theta, float)
     t = np.zeros((4, 4))
-    for m in range(3):
-        t[m + 1, 0] = eps[m]
-        t[0, m + 1] = -eps[m]
+    t[1:, 0] = eps
+    t[0, 1:] = -eps
     t[2, 3], t[3, 2] = -th[0], th[0]
     t[3, 1], t[1, 3] = -th[1], th[1]
     t[1, 2], t[2, 1] = -th[2], th[2]

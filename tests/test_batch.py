@@ -99,6 +99,33 @@ def ref_act_vector(L, v):
     return r[1:4]
 
 
+def ref_unit(axis):
+    size = np.sqrt(axis[0] * axis[0] + axis[1] * axis[1] + axis[2] * axis[2])
+    return [x / size for x in axis]
+
+
+def ref_rotation(axis, chi):
+    q = np.empty(4, np.complex128)
+    q[0] = np.cos(chi)
+    q[1:] = [np.sin(chi) * x for x in ref_unit(axis)]
+    return q
+
+
+def ref_boost(axis, beta):
+    q = np.empty(4, np.complex128)
+    q[0] = np.cosh(beta)
+    q[1:] = [1j * np.sinh(beta) * x for x in ref_unit(axis)]
+    return q
+
+
+def ref_act_four_vector(L, a0, a):
+    A = np.empty(4, np.complex128)
+    A[0] = -1j * a0
+    A[1:] = a
+    r = ref_mul(ref_mul(ref_conj_components(L), A), ref_conj_quat(L))
+    return (1j * r[0]).real, r[1:4].real
+
+
 def ref_element(d, chi=None, w=None, sign=1):
     q = np.zeros(4, np.complex128)
     if d.kind == nc.NONISOTROPIC:
@@ -241,6 +268,22 @@ def test_act_vector_matches_rowwise_reference():
     assert_same_bits(lorentz.act_vector(L, v[0]), [ref_act_vector(a, v[0]) for a in L])
     assert_same_bits(lorentz.act_vector(L[0], v), [ref_act_vector(L[0], b) for b in v])
     assert_same_bits(lorentz.act_vector(L[0], v[0]), ref_act_vector(L[0], v[0]))
+
+
+def test_rotation_boost_and_four_vector_action_match_rowwise_reference():
+    rng = np.random.default_rng(4)
+    # the lab axes first: the report's fixed designs are built on them
+    axes = np.vstack([np.eye(3), rng.normal(size=(N, 3)) * 10.0 ** rng.uniform(-3, 3, (N, 1))])
+    for angle in (0.7, -1.3):
+        for kernel, ref in ((lorentz.rotation, ref_rotation), (lorentz.boost, ref_boost)):
+            assert_same_bits(kernel(axes, angle), [ref(a, angle) for a in axes])
+            assert_same_bits(kernel(axes[5], angle), ref(axes[5], angle))
+    L, a0, a = rand_complex(rng, N, 4), rng.normal(size=N), rng.normal(size=(N, 3))
+    rows = [ref_act_four_vector(*row) for row in zip(L, a0, a)]
+    for got, want in ((lorentz.act_four_vector(L, a0, a), rows),
+                      (lorentz.act_four_vector(L[0], a0[0], a[0]), rows[:1])):
+        assert_same_bits(got[0], [b0 for b0, _ in want])
+        assert_same_bits(np.atleast_2d(got[1]), [b for _, b in want])
 
 
 @pytest.mark.parametrize("kind", [nc.NONISOTROPIC, nc.ISOTROPIC])

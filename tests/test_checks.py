@@ -117,9 +117,7 @@ def huge_isotropic_report(m):
     q = rng.normal(size=3)
     q -= (q @ p) * p
     q /= np.linalg.norm(q)
-    with np.errstate(all="ignore"):
-        report = analyze(nc.ThetaVectors(m * q, m * p), "in.yaml", scan_n=360, trials=100,
-                         seed=42)
+    report = analyze(nc.ThetaVectors(m * q, m * p), "in.yaml", scan_n=360, trials=100, seed=42)
     assert report["classification"] == nc.ISOTROPIC
     return report
 

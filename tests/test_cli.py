@@ -94,11 +94,19 @@ def test_non_antisymmetric_exit_2(tmp_path, capsys):
         assert "input error: matrix is not antisymmetric" in capsys.readouterr().err
 
 
-def test_both_forms_rejected(tmp_path):
+def test_both_forms_rejected(tmp_path, capsys):
     text = ("theta_matrix: [[0,0,0,0],[0,0,0,0],[0,0,0,0],[0,0,0,0]]\n"
             "epsilon: [0, 0, 0]\ntheta: [0, 0, 1]\n")
     code, _ = run(tmp_path, text)
     assert code == 2
+    capsys.readouterr()
+    # a key of neither form is rejected, even beside a complete pair
+    for extra, key in (("seed: 5\n", "'seed'"), ("theta_matrx: [[0]]\n", "'theta_matrx'"),
+                       ("1: 2\nz: 0\n", "'z', 1")):
+        code, rep = run(tmp_path, "epsilon: [0, 0, 0]\ntheta: [0, 0, 1]\n" + extra)
+        assert code == 2
+        assert not rep.exists()
+        assert capsys.readouterr().err == f"input error: unknown key {key}\n"
 
 
 def test_missing_vector_rejected(tmp_path):
@@ -389,14 +397,21 @@ def test_negative_seed_exit_2(tmp_path, capsys):
 
 def test_nan_duality_state_exits_1_without_a_report(tmp_path, capsys):
     # K = 1e120·(1, −i, 0): the duality state's residual overflows to NaN,
-    # and the scan rejects the state before any report is written
-    with np.errstate(all="ignore"):
-        code, rep = run(tmp_path, "epsilon: [0.0, 1.0e120, 0.0]\ntheta: [1.0e120, 0.0, 0.0]\n")
+    # and the scan rejects the state before any report is written. The
+    # overflows raise no numpy warning, in process (where the suite makes
+    # warnings errors) or on a process's stderr
+    text = "epsilon: [0.0, 1.0e120, 0.0]\ntheta: [1.0e120, 0.0, 0.0]\n"
+    code, rep = run(tmp_path, text)
     assert code == 1
     assert not rep.exists()
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("analysis error: state violates the constitutive pair")
+    assert err.count("\n") == 1
+    argv = ["analyze", "--input", str(tmp_path / "in.yaml"), "--report", str(rep)]
+    proc = subprocess.run([sys.executable, "-m", "nced", *argv], capture_output=True, text=True,
+                          timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", err)
 
 
 def test_corrupted_stabilizer_exits_1(tmp_path, capsys, monkeypatch):

@@ -287,7 +287,7 @@ def test_rotations_alone_cannot_see_a_hermitian_dot(monkeypatch):
     """Why the design needs boosts: a real rotation preserves the Hermitian
     dot too, so the corrupted map passes every rotation of the design."""
     k = ct.f_vector((0.3, -1.0, 0.5), (1.0, 0.2, 2.0))
-    rot = np.array([lo.rotation(a, 0.7) for a in ((1.0, 0, 0), (0, 1.0, 0), (0, 0, 1.0))])
+    rot = lo.rotation(np.eye(3), 0.7)
     E, B = np.eye(3), np.roll(np.eye(3), 1, axis=1)
     with hermitian_dot(monkeypatch):
         assert np.max(ct.covariant_transport_check(k, rot[:, None], E, B)) <= 1e-14

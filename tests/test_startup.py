@@ -179,3 +179,9 @@ def test_script_and_module_run_one_entry(monkeypatch):
         runpy.run_module("nced", run_name="__main__")
     assert exit_.value.code == 3
     assert callers == [script.__code__] and frozen == [1]
+
+
+def test_pyproject_version_is_the_package_version():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == nced.__version__
