@@ -32,15 +32,6 @@ def from_vector(v):
     return quat(0.0, np.asarray(v, np.complex128))
 
 
-def scalar_part(q):
-    return q[0]
-
-
-def vector_part(q):
-    return np.asarray(q[1:4], np.complex128)
-
-
-ONE = quat(1.0)
 E1 = quat(0.0, (1.0, 0.0, 0.0))
 E2 = quat(0.0, (0.0, 1.0, 0.0))
 E3 = quat(0.0, (0.0, 0.0, 1.0))
@@ -133,8 +124,3 @@ def norm(q):
     """Bilinear square q qbar = q0^2 + q.q (a complex number, not a length)."""
     q0, q1, q2, q3 = _components(q)
     return _cmul(q0, q0) + _cmul(q1, q1) + _cmul(q2, q2) + _cmul(q3, q3)
-
-
-def sym_scalar(a, b):
-    """Scalar part of the product of two pure-vector biquaternions: -(a.b)."""
-    return -cdot(a, b)

@@ -18,8 +18,8 @@ cannot be written, an input file that is not valid UTF-8 or UTF-16, an
 input nested too deeply for the parser, a top-level key other than the three
 above, and unknown options).
 
-The sections below only compute report values; every pass bound is a row of
-``nced.checks.verdicts``.
+The sections below only compute report values; every pass bound of a report
+row lives in ``nced.checks``, whose docstring names the thresholds outside it.
 """
 
 import argparse

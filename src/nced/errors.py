@@ -13,10 +13,6 @@ class KindMismatchError(NcedError):
     """Group parameter does not match the descriptor kind."""
 
 
-class DegenerateError(NcedError):
-    """A factorization or reduction lost its invariants upstream."""
-
-
 class InconsistentInputError(NcedError):
     """Field state does not satisfy the constitutive relations."""
 

@@ -13,7 +13,7 @@ between them is frozen in the tests.
 """
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -122,27 +122,3 @@ def plane_wave_sample(t, r):
         gE=gE, gB=gB, gD=gE.copy(), gH=gB.copy(),
     )
 
-
-def sample_from_functions(E_fn: Callable, B_fn: Callable, D_fn: Callable,
-                          H_fn: Callable, t: float, r, step: float = 1e-5):
-    """Build a sample from closed-form field functions ``F(t, r) -> (3,)``
-    by second-order central differences; for exploratory use only."""
-    r = np.asarray(r, float)
-
-    def dt(fn):
-        return (np.asarray(fn(t + step, r)) - np.asarray(fn(t - step, r))) / (2 * step)
-
-    def grad(fn):
-        g = np.empty((3, 3))
-        for i in range(3):
-            dr = np.zeros(3)
-            dr[i] = step
-            g[i] = (np.asarray(fn(t, r + dr)) - np.asarray(fn(t, r - dr))) / (2 * step)
-        return g
-
-    return FieldSample(
-        E=np.asarray(E_fn(t, r), float), B=np.asarray(B_fn(t, r), float),
-        D=np.asarray(D_fn(t, r), float), H=np.asarray(H_fn(t, r), float),
-        dtE=dt(E_fn), dtB=dt(B_fn), dtD=dt(D_fn), dtH=dt(H_fn),
-        gE=grad(E_fn), gB=grad(B_fn), gD=grad(D_fn), gH=grad(H_fn),
-    )

@@ -65,11 +65,6 @@ def k_from_vectors(v):
     return np.asarray(v.theta, float) - 1j * np.asarray(v.epsilon, float)
 
 
-def vectors_from_k(k):
-    k = np.asarray(k, np.complex128)
-    return ThetaVectors(-k.imag.copy(), k.real.copy())
-
-
 def phi_from_k(k):
     """The conjugate view theta + i*epsilon that parametrizes the stabilizer."""
     return np.conj(np.asarray(k, np.complex128))

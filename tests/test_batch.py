@@ -240,7 +240,6 @@ def test_dot_norm_and_conjugations_match_rowwise_reference():
     a, b = q[:, 1:], rand_complex(rng, N, 3)
     assert_same_bits(alg.cdot(a, b), [ref_cdot(x, y) for x, y in zip(a, b)])
     assert_same_bits(alg.cdot(a[0], b[0]), ref_cdot(a[0], b[0]))
-    assert_same_bits(alg.sym_scalar(a, b), [-ref_cdot(x, y) for x, y in zip(a, b)])
     assert_same_bits(alg.ccross(a, b), [ref_ccross(x, y) for x, y in zip(a, b)])
     assert_same_bits(alg.ccross(a[0], b[0]), ref_ccross(a[0], b[0]))
     assert_same_bits(alg.norm(q), [ref_norm(x) for x in q])

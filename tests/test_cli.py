@@ -414,6 +414,21 @@ def test_nan_duality_state_exits_1_without_a_report(tmp_path, capsys):
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", err)
 
 
+NEAR_CONE = "epsilon: [0, -1.0, 0]\ntheta: [1.0, 0, 3.0e-5]\n"
+
+
+def test_failed_factorization_writes_a_report(tmp_path, capsys):
+    # theta² − epsilon² = 9e-10: K is not null but classified isotropic, and
+    # the factorized element has norm 1 + 9e-10. factorize checks nothing,
+    # so the run writes a report whose factorization row fails
+    code, rep = run(tmp_path, NEAR_CONE)
+    assert code == 1
+    report = yaml.safe_load(rep.read_text())
+    assert report["status"] == "fail"
+    assert report["checks"]["factorization"] is False
+    assert capsys.readouterr() == (f"fail: isotropic; checks 5/10; report {rep}\n", "")
+
+
 def test_corrupted_stabilizer_exits_1(tmp_path, capsys, monkeypatch):
     stabilizes = sg.stabilizes
     monkeypatch.setattr(sg, "stabilizes", lambda L, k: stabilizes(L, k) + 1e-3)

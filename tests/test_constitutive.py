@@ -15,7 +15,7 @@ from nced import cli
 from nced import constitutive as ct
 from nced import lorentz as lo
 from nced import noncomm as nc
-from nced.algebra import sym_scalar
+from nced.algebra import cdot
 from conftest import rand_unit_element
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -134,7 +134,8 @@ def test_quaternionic_zero_parameter():
 
 def test_cross_form_equivalence():
     """Vector and quaternionic routes agree to rounding; this also pins the
-    sign of the scalar-part bracket (+a.b, the negated sym_scalar)."""
+    sign of the scalar-part bracket (+a.b, the negated scalar part of the
+    vector product)."""
     rng = np.random.default_rng(7)
     worst = 0.0
     for _ in range(500):
@@ -151,8 +152,8 @@ def test_quaternionic_bracket_is_negated_sym_scalar():
     f = rng.normal(size=3) + 1j * rng.normal(size=3)
     k = rng.normal(size=3) + 1j * rng.normal(size=3)
     got = ct.h_from_f(f, k)
-    s_fk = -sym_scalar(np.conj(f), np.conj(k))
-    s_ff = -sym_scalar(np.conj(f), np.conj(f))
+    s_fk = cdot(np.conj(f), np.conj(k))
+    s_ff = cdot(np.conj(f), np.conj(f))
     want = f - s_fk * f - 0.5 * s_ff * k
     assert np.max(np.abs(got - want)) <= 1e-14
 

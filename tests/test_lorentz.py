@@ -7,7 +7,6 @@ import pytest
 from nced import algebra as alg
 from nced import lorentz as lo
 from nced import smallgroup as sg
-from nced.errors import DegenerateError
 from conftest import rand_isotropic_k, rand_rotation, rand_unit_element
 
 
@@ -202,7 +201,7 @@ def test_compose_with_identity_and_inverse():
     rng = np.random.default_rng(12)
     L = rand_unit_element(rng)
     assert np.max(np.abs(alg.mul(L, lo.identity()) - L)) <= 1e-15
-    back = alg.mul(L, lo.inverse(L))
+    back = alg.mul(L, alg.conj_quat(L))
     sign = 1.0 if abs(back[0] - 1.0) < abs(back[0] + 1.0) else -1.0
     assert np.max(np.abs(back - sign * lo.identity())) <= 1e-13
 
@@ -271,14 +270,17 @@ def test_unchecked_identities_hold_for_non_unit_elements():
         b0, b = lo.act_four_vector(L[i], a0[i], a[i])
         assert b0 == float((1j * r[i, 0]).real) and np.array_equal(b, r[i, 1:].real)
     # the polar split's boost norm is at least one
-    nb = alg.norm(alg.mul(alg.conj_complex(L), L) + alg.ONE)
+    nb = alg.norm(alg.mul(alg.conj_complex(L), L) + lo.identity())
     assert np.all(nb.real >= 1.0)
     assert np.all(np.abs(nb.imag) <= 16 * u * (1.0 + size) ** 2)
 
 
-def test_factorize_rejects_non_unit_element():
-    with pytest.raises(DegenerateError, match="rotation factor"):
-        lo.factorize(1j * lo.rotation((0, 0, 1), 0.3))
+def test_factorize_of_non_unit_element_does_not_recompose():
+    """Negative control for the report's ``factorization`` row: the factors
+    of a non-unit element multiply back to something far from it."""
+    L = 1j * lo.rotation((0, 0, 1), 0.3)
+    rot, bst = lo.factorize(L)
+    assert np.max(alg.cabs(alg.mul(rot, bst) - L)) >= 0.5
 
 
 @pytest.mark.filterwarnings("error")

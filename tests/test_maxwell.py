@@ -103,17 +103,3 @@ def test_linearity_superposition():
     assert np.max(np.abs(vc.faraday - (0.7 * va.faraday - 1.3 * vb.faraday))) <= 1e-13
     assert abs(vc.div_d - (0.7 * va.div_d - 1.3 * vb.div_d)) <= 1e-13
 
-
-def test_finite_difference_adapter_on_plane_wave():
-    def E_fn(t, r):
-        return np.array([np.cos(r[2] - t), 0.0, 0.0])
-
-    def B_fn(t, r):
-        return np.array([0.0, np.cos(r[2] - t), 0.0])
-
-    t, r = 0.37, np.array([0.1, -0.4, 0.9])
-    s = mx.sample_from_functions(E_fn, B_fn, E_fn, B_fn, t, r)
-    exact = mx.plane_wave_sample(t, r)
-    for name in mx.FieldSample.__dataclass_fields__:
-        assert np.max(np.abs(getattr(s, name) - getattr(exact, name))) <= 1e-9
-    assert np.max(np.abs(mx.quaternionic_residual(s))) <= 1e-9

@@ -73,14 +73,6 @@ def test_k_from_vectors_examples():
     assert k @ k == 0.0
 
 
-def test_vectors_from_k_roundtrip():
-    rng = np.random.default_rng(1)
-    v = rand_vectors(rng)
-    back = nc.vectors_from_k(nc.k_from_vectors(v))
-    assert np.array_equal(back.epsilon, v.epsilon)
-    assert np.array_equal(back.theta, v.theta)
-
-
 def test_invariants_fields():
     rng = np.random.default_rng(2)
     v = rand_vectors(rng)

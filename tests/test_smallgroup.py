@@ -144,7 +144,7 @@ def test_isotropic_nilpotency():
     d = sg.describe(k)
     for w, sign in [(1.0 + 0j, 1), (2.0 - 1.0j, -1), (0.5j, 1)]:
         L = sign * sg.element(d, w=w)
-        shifted = L - sign * alg.ONE
+        shifted = L - sign * lo.identity()
         sq = alg.mul(shifted, shifted)
         assert np.max(np.abs(sq)) <= 1e-13 * max(1.0, np.max(np.abs(shifted)) ** 2)
 

@@ -182,6 +182,9 @@ def test_script_and_module_run_one_entry(monkeypatch):
 
 
 def test_pyproject_version_is_the_package_version():
+    # the version is written once, in nced.__version__, and the build reads it
     tomllib = pytest.importorskip("tomllib")
     with open(ROOT / "pyproject.toml", "rb") as fh:
-        assert tomllib.load(fh)["project"]["version"] == nced.__version__
+        config = tomllib.load(fh)
+    assert "version" not in config["project"] and "version" in config["project"]["dynamic"]
+    assert config["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "nced.__version__"}
