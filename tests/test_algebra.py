@@ -142,6 +142,13 @@ def test_associativity():
         assert np.max(np.abs(lhs - rhs)) <= 1e-13 * np.max(np.abs(lhs))
 
 
+def test_sym_scalar_examples():
+    e1 = alg.from_vector((1.0, 0, 0))
+    e2 = alg.from_vector((0, 1.0, 0))
+    assert alg.mul(e1, e1)[0] == -1.0 and -alg.cdot(e1[1:], e1[1:]) == -1.0
+    assert alg.mul(e1, e2)[0] == 0.0 and -alg.cdot(e1[1:], e2[1:]) == 0.0
+
+
 def test_sym_scalar_is_scalar_part_of_vector_product():
     rng = np.random.default_rng(9)
     for _ in range(100):
@@ -161,6 +168,17 @@ def test_scalar_part_similarity_invariant():
         assert abs(conj[0] - q[0]) <= 1e-13 * max(
             1.0, abs(q[0])
         ) * max(1.0, float(np.sum(np.abs(L) ** 2)))
+
+
+def test_parts_roundtrip():
+    q = alg.quat(2.0 + 1j, (1, 2, 3))
+    assert q[0] == 2.0 + 1j
+    assert np.array_equal(q[1:], np.array([1, 2, 3], complex))
+    # a batch keeps its components on the last axis
+    b = alg.quat((2.0 + 1j, -1.0), ((1, 2, 3), (4, 5, 6)))
+    assert b.shape == (2, 4)
+    assert np.array_equal(b[..., 0], np.array([2.0 + 1j, -1.0]))
+    assert np.array_equal(b[..., 1:], np.array([[1, 2, 3], [4, 5, 6]], complex))
 
 
 # numpy routes these to BLAS kernels that OpenBLAS picks per CPU, outside the

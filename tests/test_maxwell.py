@@ -103,3 +103,20 @@ def test_linearity_superposition():
     assert np.max(np.abs(vc.faraday - (0.7 * va.faraday - 1.3 * vb.faraday))) <= 1e-13
     assert abs(vc.div_d - (0.7 * va.div_d - 1.3 * vb.div_d)) <= 1e-13
 
+
+def test_finite_difference_adapter_on_plane_wave():
+    """The plane wave's analytic derivatives agree with second-order central
+    differences of its own fields."""
+    t, r, step = 0.37, np.array([0.1, -0.4, 0.9]), 1e-5
+    exact = mx.plane_wave_sample(t, r)
+    for f in "EBDH":
+        dt = (getattr(mx.plane_wave_sample(t + step, r), f)
+              - getattr(mx.plane_wave_sample(t - step, r), f)) / (2 * step)
+        assert np.max(np.abs(dt - getattr(exact, "dt" + f))) <= 1e-9
+        for i in range(3):
+            dr = np.zeros(3)
+            dr[i] = step
+            g = (getattr(mx.plane_wave_sample(t, r + dr), f)
+                 - getattr(mx.plane_wave_sample(t, r - dr), f)) / (2 * step)
+            assert np.max(np.abs(g - getattr(exact, "g" + f)[i])) <= 1e-9
+    assert np.max(np.abs(mx.quaternionic_residual(exact))) <= 1e-9

@@ -73,6 +73,17 @@ def test_k_from_vectors_examples():
     assert k @ k == 0.0
 
 
+def test_vectors_from_k_roundtrip():
+    """K = theta - i*epsilon keeps both vectors exactly: theta = Re K and
+    epsilon = -Im K."""
+    rng = np.random.default_rng(1)
+    for _ in range(100):
+        v = rand_vectors(rng)
+        k = nc.k_from_vectors(v)
+        assert np.array_equal(k.real, v.theta)
+        assert np.array_equal(-k.imag, v.epsilon)
+
+
 def test_invariants_fields():
     rng = np.random.default_rng(2)
     v = rand_vectors(rng)
