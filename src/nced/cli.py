@@ -159,9 +159,10 @@ def _parameter(u):
 
 
 def _small_group_trials(n, seed):
-    """The small-group trials of ``seed``: ``n`` group-law pairs ``w2``, then
-    ``n`` invariance trials ``(w, E, B)``, from the 4 and the 8 doubles that
-    as many ``random.Random(seed).random()`` calls would return, in order.
+    """The small-group trials of ``seed``: ``n`` group-law parameter pairs
+    ``(p1, p2)``, then ``n`` invariance trials ``(p, E, B)``, from the 4 and
+    the 8 doubles that as many ``random.Random(seed).random()`` calls would
+    return, in order.
 
     One ``randbytes`` call draws the 32-bit words, and each pair (a, b) is
     decoded as ``random()`` decodes it: ((a >> 5)·2²⁶ + (b >> 6))·2⁻⁵³.
@@ -180,25 +181,21 @@ _PARAMETERS = {
 }
 
 
-def _element_for(d, value):
-    return sg.element(d, **{d.param: value})
-
-
 def _small_group_section(d, k, trials, seed):
     # all trials are drawn first, then checked one batch per check
-    w, w_inv, E, B = _small_group_trials(trials, seed)
+    p_law, p_inv, E, B = _small_group_trials(trials, seed)
     values = _PARAMETERS[d.kind][0]
-    samples = _element_for(d, values)
-    e1 = _element_for(d, w[:, 0])
-    e2 = _element_for(d, w[:, 1])
+    samples = sg.element(d, values)
+    e1 = sg.element(d, p_law[:, 0])
+    e2 = sg.element(d, p_law[:, 1])
     e12 = mul(e1, e2)
     # the samples' residuals come first; np.max, not max or np.fmax: a NaN
     # residual must reach its check and fail
     stab = sg.stabilizes(np.concatenate([samples, e1]), k)
-    group_law = float(np.max(sg.group_law_check(d, e12, w[:, 0] + w[:, 1])))
+    group_law = float(np.max(sg.group_law_check(d, e12, p_law[:, 0] + p_law[:, 1])))
     abelian = float(np.max(cabs(e12 - mul(e2, e1))))
 
-    L = _element_for(d, w_inv)
+    L = sg.element(d, p_inv)
     invariance = float(np.max(sg.verify_constitutive_invariance(k, L, E, B)))
 
     section = {
@@ -258,7 +255,7 @@ def _canonical_section(d, k):
 
 def _factorization_section(d):
     value = _PARAMETERS[d.kind][1]
-    L = _element_for(d, value)
+    L = sg.element(d, value)
     rot, bst = lorentz.factorize(L)
     return {
         "of_parameter": {d.param: _floats(value)},

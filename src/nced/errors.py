@@ -9,10 +9,6 @@ class ZeroKError(NcedError):
     """Noncommutativity vector is zero: the stabilizer is the full group."""
 
 
-class KindMismatchError(NcedError):
-    """Group parameter does not match the descriptor kind."""
-
-
 class InconsistentInputError(NcedError):
     """Field state does not satisfy the constitutive relations."""
 

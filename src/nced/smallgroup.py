@@ -18,19 +18,21 @@ from . import lorentz
 from . import noncomm
 from .algebra import _cmul, cabs, ccross, cdot, conj_components, mul, quat
 from .constitutive import f_vector, h_from_f
-from .errors import KindMismatchError, ZeroKError
+from .errors import ZeroKError
 
 
 class SmallGroupDescriptor(NamedTuple):
     kind: str
-    param: str                               # parameter name: "chi" (nonisotropic) or "w"
+    param: str                               # the parameter's label in the report: "chi" or "w"
     phi_hat: Optional[np.ndarray] = None     # nonisotropic: unit axis, phi_hat.phi_hat = 1
     phi: Optional[np.ndarray] = None          # isotropic: raw null direction
     sqrt_square: Optional[complex] = None     # nonisotropic: principal root of phi.phi
 
 
 def describe(k):
-    """Classify K and package the stabilizer parametrization data."""
+    """Classify K and package what ``element`` needs to map the one complex
+    parameter to a stabilizer element: the unit axis ``phi_hat`` of a
+    nonisotropic K or the null direction ``phi`` of an isotropic one."""
     k = np.asarray(k, np.complex128)
     kind = noncomm.classify(k)
     if kind == noncomm.ZERO:
@@ -42,21 +44,19 @@ def describe(k):
     return SmallGroupDescriptor(kind, "chi", phi_hat=phi / ssq, sqrt_square=ssq)
 
 
-def element(d, chi=None, w=None):
-    """One stabilizer element, or a batch ``[..., 4]`` for array parameters.
+def element(d, chi):
+    """One stabilizer element, or a batch ``[..., 4]`` for an array of
+    parameters.
 
-    Nonisotropic descriptors take a complex angle ``chi``, isotropic ones a
-    complex displacement ``w``: ``L = 1 + w * phi``, and ``-L`` acts as L.
+    ``chi`` is the one complex parameter of either family: the angle of
+    ``L = cos(chi) + sin(chi) * phi_hat`` for a nonisotropic descriptor, the
+    displacement of ``L = 1 + chi * phi`` for an isotropic one, where ``-L``
+    acts as L. The report labels it by ``d.param``, "chi" or "w".
     """
+    chi = np.asarray(chi, np.complex128)
     if d.kind == noncomm.NONISOTROPIC:
-        if chi is None or w is not None:
-            raise KindMismatchError("nonisotropic small group is parametrized by chi")
-        chi = np.asarray(chi, np.complex128)
         return quat(np.cos(chi), _cmul(np.sin(chi)[..., None], d.phi_hat))
-    if chi is not None or w is None:
-        raise KindMismatchError("isotropic small group is parametrized by w")
-    w = np.asarray(w, np.complex128)
-    return quat(1.0, _cmul(w[..., None], d.phi))
+    return quat(1.0, _cmul(chi[..., None], d.phi))
 
 
 def stabilizes(L, k):
@@ -68,9 +68,8 @@ def stabilizes(L, k):
 
 def group_law_check(d, product, p):
     """Defect of the additive parameter law, per row: how far ``product`` =
-    L(p1)·L(p2) lies from L(p) with p = p1 + p2, the parameter named by
-    ``d.param``."""
-    return np.max(cabs(product - element(d, **{d.param: p})), axis=-1)
+    L(p1)·L(p2) lies from L(p) with p = p1 + p2."""
+    return np.max(cabs(product - element(d, p)), axis=-1)
 
 
 def verify_constitutive_invariance(k, L, E, B):

@@ -52,5 +52,5 @@ def rand_isotropic_k(rng, scale_range=(0.5, 2.0)):
 def group_law(d, p1, p2):
     """``sg.group_law_check`` of L(p1)·L(p2), each factor built by ``element``."""
     p1, p2 = np.asarray(p1, np.complex128), np.asarray(p2, np.complex128)
-    e1, e2 = (sg.element(d, **{d.param: p}) for p in (p1, p2))
+    e1, e2 = sg.element(d, p1), sg.element(d, p2)
     return sg.group_law_check(d, mul(e1, e2), p1 + p2)

@@ -136,14 +136,14 @@ def test_criterion_05_stabilizer_correctness():
             d = sg.describe(k)
             if d.kind == nc.NONISOTROPIC:
                 params = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(3)]
-                elements = [sg.element(d, chi=p) for p in params]
+                elements = [sg.element(d, p) for p in params]
                 worst_law = max(worst_law, group_law(d, params[0], params[1]))
             else:
                 params = [
                     (complex(rng.uniform(-2, 2), rng.uniform(-2, 2)), int(rng.choice([-1, 1])))
                     for _ in range(3)
                 ]
-                elements = [s * sg.element(d, w=w) for w, s in params]
+                elements = [s * sg.element(d, w) for w, s in params]
                 worst_law = max(worst_law, group_law(d, params[0][0], params[1][0]))
             for L in elements:
                 worst_stab = max(worst_stab, sg.stabilizes(L, k))
@@ -177,11 +177,11 @@ def test_criterion_06_form_invariance_and_covariance():
             for _ in range(100):
                 # parameter domains per the stated property: |chi| <= 2, |w| <= 2
                 if d.kind == nc.NONISOTROPIC:
-                    L = sg.element(d, chi=complex(rng.uniform(-1.4, 1.4),
-                                                  rng.uniform(-1.4, 1.4)))
+                    L = sg.element(d, complex(rng.uniform(-1.4, 1.4),
+                                              rng.uniform(-1.4, 1.4)))
                 else:
                     w = complex(rng.uniform(-1.4, 1.4), rng.uniform(-1.4, 1.4))
-                    L = int(rng.choice([-1, 1])) * sg.element(d, w=w)
+                    L = int(rng.choice([-1, 1])) * sg.element(d, w)
                 E, B = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
                 worst_inv = max(worst_inv, sg.verify_constitutive_invariance(k, L, E, B))
     assert worst_inv <= 1e-12
@@ -234,7 +234,7 @@ def test_criterion_07_group_structure():
         k = axis.astype(complex)  # canonical-form K: real unit vector
         d = sg.describe(k)
         a, b = rng.uniform(-1, 1), rng.uniform(-1, 1)
-        rot, bst = lo.factorize(sg.element(d, chi=complex(a, b)))
+        rot, bst = lo.factorize(sg.element(d, complex(a, b)))
         worst_rot = max(
             worst_rot,
             float(np.max(np.abs(lo.lorentz_matrix4(rot) - _rodrigues4(axis, 2 * a)))),

@@ -126,15 +126,15 @@ def ref_act_four_vector(L, a0, a):
     return (1j * r[0]).real, r[1:4].real
 
 
-def ref_element(d, chi=None, w=None, sign=1):
+def ref_element(d, p, sign=1):
+    p = np.complex128(p)
     q = np.zeros(4, np.complex128)
     if d.kind == nc.NONISOTROPIC:
-        chi = np.complex128(chi)
-        q[0] = np.cos(chi)
-        q[1:] = [np.sin(chi) * x for x in d.phi_hat]
+        q[0] = np.cos(p)
+        q[1:] = [np.sin(p) * x for x in d.phi_hat]
         return q
     q[0] = 1.0
-    q[1:] = [np.complex128(w) * x for x in d.phi]
+    q[1:] = [p * x for x in d.phi]
     return sign * q
 
 
@@ -300,23 +300,23 @@ def test_smallgroup_kernels_match_rowwise_reference(kind):
     z = rng.uniform(-1.4, 1.4, (N, 2)) + 1j * rng.uniform(-1.4, 1.4, (N, 2))
     sign = rng.choice([-1, 1], (N, 2))
     if kind == nc.NONISOTROPIC:
-        e1, e2 = sg.element(d, chi=z[:, 0]), sg.element(d, chi=z[:, 1])
-        ref1 = [ref_element(d, chi=c) for c in z[:, 0]]
-        ref2 = [ref_element(d, chi=c) for c in z[:, 1]]
-        target = [ref_element(d, chi=complex(a) + complex(b)) for a, b in z]
+        e1, e2 = sg.element(d, z[:, 0]), sg.element(d, z[:, 1])
+        ref1 = [ref_element(d, c) for c in z[:, 0]]
+        ref2 = [ref_element(d, c) for c in z[:, 1]]
+        target = [ref_element(d, complex(a) + complex(b)) for a, b in z]
         law = sg.group_law_check(d, alg.mul(e1, e2), z[:, 0] + z[:, 1])
     else:
         # signed elements, -L being the other sheet of L; an integer sign
         # times 1 + 0j keeps the +0.0 that unary minus would flip
-        e1 = sign[:, :1] * sg.element(d, w=z[:, 0])
-        e2 = sign[:, 1:] * sg.element(d, w=z[:, 1])
-        ref1 = [ref_element(d, w=w, sign=int(s)) for w, s in zip(z[:, 0], sign[:, 0])]
-        ref2 = [ref_element(d, w=w, sign=int(s)) for w, s in zip(z[:, 1], sign[:, 1])]
-        target = [ref_element(d, w=complex(a) + complex(b), sign=int(s * t))
+        e1 = sign[:, :1] * sg.element(d, z[:, 0])
+        e2 = sign[:, 1:] * sg.element(d, z[:, 1])
+        ref1 = [ref_element(d, w, sign=int(s)) for w, s in zip(z[:, 0], sign[:, 0])]
+        ref2 = [ref_element(d, w, sign=int(s)) for w, s in zip(z[:, 1], sign[:, 1])]
+        target = [ref_element(d, complex(a) + complex(b), sign=int(s * t))
                   for (a, b), (s, t) in zip(z, sign)]
         # the unsigned defect has the bits of the signed one
         law = group_law(d, z[:, 0], z[:, 1])
-        assert_same_bits(-1 * sg.element(d, w=z[0, 0]), ref_element(d, w=z[0, 0], sign=-1))
+        assert_same_bits(-1 * sg.element(d, z[0, 0]), ref_element(d, z[0, 0], sign=-1))
     assert_same_bits(e1, ref1)
     assert_same_bits(e2, ref2)
     assert_same_bits(law, [ref_max_abs(ref_mul(a, b) - t)
@@ -416,7 +416,7 @@ def test_blocked_duality_scan_matches_whole_grid(kind):
 
 def per_draw_trials(n, seed):
     """The trials in their documented layout, drawn one ``random()`` call per
-    double: ``n`` group-law rows (w1, w2), then ``n`` invariance rows (w, E, B),
+    double: ``n`` group-law rows (p1, p2), then ``n`` invariance rows (p, E, B),
     each parameter its real part first."""
     draw = random.Random(seed).random
 
@@ -426,13 +426,13 @@ def per_draw_trials(n, seed):
     def parameter():
         return complex(uniform(-1.4, 1.4), uniform(-1.4, 1.4))
 
-    w2 = [[parameter(), parameter()] for _ in range(n)]
-    w, E, B = [], [], []
+    p_law = [[parameter(), parameter()] for _ in range(n)]
+    p_inv, E, B = [], [], []
     for _ in range(n):
-        w.append(parameter())
+        p_inv.append(parameter())
         E.append([uniform(-1.0, 1.0) for _ in range(3)])
         B.append([uniform(-1.0, 1.0) for _ in range(3)])
-    return [np.array(x) for x in (w2, w, E, B)]
+    return [np.array(x) for x in (p_law, p_inv, E, B)]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 42, 2**31 - 1, 123456789])

@@ -173,9 +173,9 @@ def test_small_inputs_still_separate_members(kind, m):
     bound = dict((name, b) for name, _, b, _ in rows(k, 1.0))
     d = sg.describe(k)
     if d.kind == nc.NONISOTROPIC:
-        member = sg.element(d, chi=0.5 + 0.5j)
+        member = sg.element(d, 0.5 + 0.5j)
     else:
-        member = -1 * sg.element(d, w=1.0 + 1.0j)
+        member = -1 * sg.element(d, 1.0 + 1.0j)
     assert float(sg.stabilizes(member, k)) <= bound["stabilizer"]
     nonmember = checks.nonmember_residual(k)
     assert nonmember >= bound["distinguishes_nonmembers"]

@@ -292,7 +292,7 @@ def test_factorize_large_isotropic_elements(size):
     rng = np.random.default_rng(17)
     for _ in range(50):
         d = sg.describe(rand_isotropic_k(rng, (size, size)))
-        rot, bst = lo.factorize(sg.element(d, w=1.0))
+        rot, bst = lo.factorize(sg.element(d, 1.0))
         assert np.all(np.isfinite(rot)) and np.all(np.isfinite(bst))
 
 

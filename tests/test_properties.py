@@ -1,5 +1,6 @@
-"""Property: every valid input, in vector or matrix form, gets a report, and
-the report passes exactly when each of its checks does.
+"""Property: every valid input, in vector or matrix form, gets a report, the
+report passes exactly when each of its checks does, and a check whose report
+values are not all finite fails.
 
 Inputs are drawn across |K| from 1e-12 to 1e50, on the isotropic cone and in
 the band beside it that is classified isotropic although K is not null, and
@@ -12,6 +13,7 @@ import pytest
 
 from nced import cli
 from nced import noncomm as nc
+from conftest import rand_isotropic_k
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
@@ -19,6 +21,33 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 MAGNITUDES = st.floats(-12.0, 50.0).map(lambda e: 10.0 ** e)
 SIGNS = st.sampled_from([-1.0, 1.0])
 ANGLES = st.floats(0.0, 2.0 * np.pi)
+
+# each row of ``checks`` and the report values it compares with its bound
+# (the README's check table); the duality rows also read the peak
+ROW_VALUES = {
+    "stabilizer": ["small_group.max_stabilizer_residual"],
+    "group_law": ["small_group.group_law_defect"],
+    "abelian": ["small_group.abelian_defect"],
+    "invariance": ["small_group.max_invariance_residual"],
+    "distinguishes_nonmembers": ["small_group.nonmember_rotation_residual"],
+    "full_covariance": ["covariant_transport_residual"],
+    "canonical_form": ["canonical_form.reduction_residual", "canonical_form.k_square_drift"],
+    "factorization": ["factorization.recomposition_defect"],
+    "duality_zeros": ["duality.quarter_turn_residuals", "duality.peak_residual"],
+    "duality_discrete": ["duality.offgrid_min_residual", "duality.peak_residual"],
+}
+
+
+def _value(report, path):
+    for key in path.split("."):
+        report = report[key]
+    return report
+
+
+# isotropic K of size 1e80 (theta ⟂ epsilon, |theta| = |epsilon|); the
+# invariance residual and the canonical form's K² drift overflow to NaN
+K80 = rand_isotropic_k(np.random.default_rng(3))
+K80 *= 1e80 / np.linalg.norm(K80.real)
 
 
 @st.composite
@@ -73,7 +102,12 @@ def documents(draw):
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(documents())
 @example({"epsilon": [0, -1.0, 0], "theta": [1.0, 0, 3.0e-5]})
+@example({"epsilon": (-K80.imag).tolist(), "theta": K80.real.tolist()})
 def test_every_valid_input_gets_a_report_that_passes_when_its_checks_do(doc):
     report = cli.analyze(cli._theta_vectors(doc), "x", 16, 3, 0)
     assert all(type(ok) is bool for ok in report["checks"].values())
     assert (report["status"] == "pass") == all(report["checks"].values())
+    for row, ok in report["checks"].items():
+        values = [_value(report, path) for path in ROW_VALUES[row]]
+        if not all(np.all(np.isfinite(v)) for v in values):
+            assert not ok, (row, values)
