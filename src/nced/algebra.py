@@ -9,8 +9,10 @@ Every kernel is batch-first: components live on the last axis and any
 leading axes broadcast, so ``mul`` of a ``(n, 4)`` batch and a ``(4,)``
 element is ``n`` products in one call.  One rounding rule serves every
 module: each complex product is ``_cmul``'s, each dot or length ``cdot``'s and
-each modulus ``cabs``'s.  So a batch gives the bits of its rows taken one at a
-time, and a report the same bits on every x86_64 CPU.
+each modulus ``cabs``'s, and ``mul`` is built from ``cdot`` and ``ccross``.  So
+a batch gives the bits of its rows taken one at a time (a NaN's sign bit aside:
+numpy's loops set it differently), and a report the same bits on every x86_64
+CPU.
 """
 
 import numpy as np
@@ -62,14 +64,6 @@ def _components(q):
     return tuple(q.transpose(-1, *range(q.ndim - 1)))
 
 
-def _stack(*components):
-    """Inverse of ``_components``."""
-    out = np.empty(np.shape(components[0]) + (len(components),), np.complex128)
-    for i, c in enumerate(components):
-        out[..., i] = c
-    return out
-
-
 def cdot(a, b):
     """Complex-bilinear dot product ``(a0 b0 + a1 b1) + a2 b2`` of 3-vectors."""
     a0, a1, a2 = _components(a)
@@ -81,23 +75,19 @@ def ccross(a, b):
     """Complex-bilinear cross product of 3-vectors."""
     a0, a1, a2 = _components(a)
     b0, b1, b2 = _components(b)
-    return _stack(
+    return np.stack([
         _cmul(a1, b2) - _cmul(a2, b1),
         _cmul(a2, b0) - _cmul(a0, b2),
         _cmul(a0, b1) - _cmul(a1, b0),
-    )
+    ], axis=-1)
 
 
 def mul(q, p):
     """Biquaternion product: (q0 p0 - q.p) e0 + (q0 p + p0 q + q x p)."""
-    q0, q1, q2, q3 = _components(q)
-    p0, p1, p2, p3 = _components(p)
-    return _stack(
-        _cmul(q0, p0) - (_cmul(q1, p1) + _cmul(q2, p2) + _cmul(q3, p3)),
-        _cmul(q0, p1) + _cmul(p0, q1) + (_cmul(q2, p3) - _cmul(q3, p2)),
-        _cmul(q0, p2) + _cmul(p0, q2) + (_cmul(q3, p1) - _cmul(q1, p3)),
-        _cmul(q0, p3) + _cmul(p0, q3) + (_cmul(q1, p2) - _cmul(q2, p1)),
-    )
+    q, p = np.asarray(q, np.complex128), np.asarray(p, np.complex128)
+    q0, qv, p0, pv = q[..., 0], q[..., 1:], p[..., 0], p[..., 1:]
+    return quat(_cmul(q0, p0) - cdot(qv, pv),
+                _cmul(q0[..., None], pv) + _cmul(p0[..., None], qv) + ccross(qv, pv))
 
 
 def conj_quat(q):

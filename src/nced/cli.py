@@ -335,8 +335,8 @@ def analyze(tv, path, scan_n, trials, seed):
         "k_vector": _floats(k),
         "invariants": {
             "k_square": _floats(inv.square),
-            "theta_sq_minus_eps_sq": inv.re_part + 0.0,
-            "theta_dot_eps": -0.5 * inv.im_part + 0.0,
+            "theta_sq_minus_eps_sq": _floats(inv.re_part),
+            "theta_dot_eps": _floats(-0.5 * inv.im_part),
         },
         "classification": kind,
     }

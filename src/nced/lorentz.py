@@ -141,24 +141,13 @@ def element_from_rotation_matrix(r):
         x = (r[2, 1] - r[1, 2]) / (4.0 * w)
         y = (r[0, 2] - r[2, 0]) / (4.0 * w)
         z = (r[1, 0] - r[0, 1]) / (4.0 * w)
-    else:
-        i = int(np.argmax(np.diag(r)))
-        if i == 0:
-            s = 2.0 * np.sqrt(1.0 + r[0, 0] - r[1, 1] - r[2, 2])
-            w = (r[2, 1] - r[1, 2]) / s
-            x = 0.25 * s
-            y = (r[0, 1] + r[1, 0]) / s
-            z = (r[0, 2] + r[2, 0]) / s
-        elif i == 1:
-            s = 2.0 * np.sqrt(1.0 - r[0, 0] + r[1, 1] - r[2, 2])
-            w = (r[0, 2] - r[2, 0]) / s
-            x = (r[0, 1] + r[1, 0]) / s
-            y = 0.25 * s
-            z = (r[1, 2] + r[2, 1]) / s
-        else:
-            s = 2.0 * np.sqrt(1.0 - r[0, 0] - r[1, 1] + r[2, 2])
-            w = (r[1, 0] - r[0, 1]) / s
-            x = (r[0, 2] + r[2, 0]) / s
-            y = (r[1, 2] + r[2, 1]) / s
-            z = 0.25 * s
-    return alg.quat(w, (x, y, z))
+        return alg.quat(w, (x, y, z))
+    # the largest diagonal entry i, with (i, j, k) cyclic
+    i = int(np.argmax(np.diag(r)))
+    j, k = (i + 1) % 3, (i + 2) % 3
+    d = -np.diag(r)
+    d[i] = r[i, i]
+    s = 2.0 * np.sqrt(1.0 + d[0] + d[1] + d[2])
+    v = np.empty(3)
+    v[[i, j, k]] = 0.25 * s, (r[i, j] + r[j, i]) / s, (r[k, i] + r[i, k]) / s
+    return alg.quat((r[k, j] - r[j, k]) / s, v)

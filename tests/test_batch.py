@@ -207,6 +207,13 @@ def assert_same_bits(batched, rows):
     assert np.array_equal(bits(batched), bits(rows))
 
 
+def nan_as_nan(z):
+    z = np.array(z, np.complex128)
+    z.real[np.isnan(z.real)] = np.nan
+    z.imag[np.isnan(z.imag)] = np.nan
+    return z
+
+
 def rand_complex(rng, *shape):
     """Components over six decades, with exact zeros, whose signs are where
     a rounding difference in a product shows first."""
@@ -232,6 +239,16 @@ def test_mul_matches_rowwise_reference():
     # leading axes beyond one broadcast too
     assert_same_bits(alg.mul(q.reshape(20, 20, 4), p[:20, None, :]),
                      [[ref_mul(q[20 * i + j], p[i]) for j in range(20)] for i in range(20)])
+    # signed zeros, infinities, NaN and overflowing products; which sign bit
+    # a NaN gets depends on numpy's loop, so every NaN is compared as np.nan
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308, 1.5])
+    q, p = np.empty((N, 4), np.complex128), np.empty((N, 4), np.complex128)
+    for z in (q.real, q.imag, p.real, p.imag):
+        z[...] = special[rng.integers(0, len(special), (N, 4))]
+    with np.errstate(all="ignore"):
+        for got, want in ((alg.mul(q, p), [ref_mul(a, b) for a, b in zip(q, p)]),
+                          (alg.mul(q, p[0]), [ref_mul(a, p[0]) for a in q])):
+            assert_same_bits(nan_as_nan(got), nan_as_nan(want))
 
 
 def test_dot_norm_and_conjugations_match_rowwise_reference():

@@ -182,6 +182,17 @@ def test_module_entry_point_version():
     assert "nced" in out.stdout
 
 
+def test_negative_zero_invariant_is_written_as_zero(tmp_path):
+    # theta . eps is +0.0 here, so -0.5 * im_part is -0.0; the report writes 0.0
+    text = "epsilon: [0, 0, 0]\ntheta: [0, 0, 2]\n"
+    assert np.signbit(-0.5 * nc.invariants(nc.k_from_vectors(vectors(text))).im_part)
+    code, rep = run(tmp_path, text)
+    assert code == 0
+    assert "  theta_dot_eps: 0.0\n" in rep.read_text()
+    value = yaml.safe_load(rep.read_text())["invariants"]["theta_dot_eps"]
+    assert value == 0.0 and not np.signbit(value)
+
+
 def test_zero_k_reported_as_full_group(tmp_path, capsys):
     code, rep = run(tmp_path, "epsilon: [0, 0, 0]\ntheta: [0, 0, 0]\n")
     assert code == 0
