@@ -174,18 +174,15 @@ def _small_group_trials(n, seed):
     return _parameter(law), _parameter(inv[:, :2]), fields[:, :3], fields[:, 3:]
 
 
-# per kind: the parameters of the sample elements, and the one factorized
-_PARAMETERS = {
-    nc.NONISOTROPIC: ([0.5 + 0.0j, 0.5j, 0.5 + 0.5j], 0.5 + 0.5j),
-    nc.ISOTROPIC: ([1.0 + 0.0j, 1.0j], 1.0 + 0.0j),
-}
+# the parameters w of the sample elements, and the one factorized
+_SAMPLES = [0.5 + 0.0j, 0.5j, 0.5 + 0.5j]
+_FACTORIZED = 0.5 + 0.5j
 
 
 def _small_group_section(d, k, trials, seed):
     # all trials are drawn first, then checked one batch per check
     p_law, p_inv, E, B = _small_group_trials(trials, seed)
-    values = _PARAMETERS[d.kind][0]
-    samples = sg.element(d, values)
+    samples = sg.element(d, _SAMPLES)
     e1 = sg.element(d, p_law[:, 0])
     e2 = sg.element(d, p_law[:, 1])
     e12 = mul(e1, e2)
@@ -198,23 +195,19 @@ def _small_group_section(d, k, trials, seed):
     L = sg.element(d, p_inv)
     invariance = float(np.max(sg.verify_constitutive_invariance(k, L, E, B)))
 
-    section = {
+    return {
         "kind": d.kind,
         "sample_elements": [
-            {"parameter": {d.param: value}, "element": e, "stabilizer_residual": r}
-            for value, e, r in zip(_floats(values), _floats(samples), stab.tolist())],
+            {"parameter": {"w": value}, "element": e, "stabilizer_residual": r}
+            for value, e, r in zip(_floats(_SAMPLES), _floats(samples), stab.tolist())],
         "max_stabilizer_residual": float(np.max(stab)),
         "group_law_defect": group_law,
         "abelian_defect": abelian,
         "max_invariance_residual": invariance,
         "nonmember_rotation_residual": checks.nonmember_residual(k),
+        "phi": _floats(d.phi),
+        "phi_square": _floats(d.square),
     }
-    if d.kind == nc.NONISOTROPIC:
-        section["phi_hat"] = _floats(d.phi_hat)
-        section["sqrt_square"] = _floats(d.sqrt_square)
-    else:
-        section["phi"] = _floats(d.phi)
-    return section
 
 
 def _covariance_check(k):
@@ -241,10 +234,9 @@ def _covariance_check(k):
 def _canonical_section(d, k):
     L, k_can = sg.canonical_form(k)
     if d.kind == nc.NONISOTROPIC:
-        resid = float(np.max(np.abs(lorentz.act_vector(L, d.phi_hat).imag)))
+        resid = float(np.max(cabs(k_can[1:])))
     else:
-        target = np.array([1.0, -1.0j, 0.0])
-        resid = float(np.max(cabs(lorentz.act_vector(L, d.phi) - target)))
+        resid = float(np.max(cabs(k_can - [1.0, 1.0j, 0.0])))
     return {
         "element": _floats(L),
         "k_canonical": _floats(k_can),
@@ -254,11 +246,10 @@ def _canonical_section(d, k):
 
 
 def _factorization_section(d):
-    value = _PARAMETERS[d.kind][1]
-    L = sg.element(d, value)
+    L = sg.element(d, _FACTORIZED)
     rot, bst = lorentz.factorize(L)
     return {
-        "of_parameter": {d.param: _floats(value)},
+        "of_parameter": {"w": _floats(_FACTORIZED)},
         "rotation": _floats(rot),
         "boost": _floats(bst),
         "recomposition_defect": float(np.max(cabs(mul(rot, bst) - L))),

@@ -1,62 +1,59 @@
 """Residual (stability) Lorentz subgroup of a noncommutativity vector.
 
-For a nonisotropic K the group is the two-parameter Abelian family
-``L = cos(chi) + sin(chi) * phi_hat`` with ``phi_hat`` the unit vector of
-``phi = conj(K) = theta + i*epsilon`` and complex angle ``chi``; its real and
-imaginary parts generate a rotation and a boost about the same (generally
-complex) axis.  For an isotropic K (``K.K = 0``) the group is
-``L = 1 + w * phi``, an additive copy of the complex plane; ``-L`` acts as L.
+The paper's two families, ``cos(chi) + sin(chi) * phi_hat`` for a
+nonisotropic K and ``1 + w * phi`` for an isotropic one (``K.K = 0``), are
+both ``exp(w * phi)`` with ``phi = conj(K) = theta + i*epsilon``: a pure
+vector v squares to ``-(v.v)``, so ``exp(v) = cos(x) + sin(x)/x * v`` with
+``x^2 = v.v``.  cos and sin(x)/x are even in x, so the element depends only
+on ``phi.phi``; it needs no kind, no branch of a root and no unit axis, and
+it is unit for every K.  ``phi`` is conj(K) over a power of two, exactly, so
+that it is of size one; the real and imaginary parts of the one complex
+parameter ``w`` generate a rotation and a boost about the same (generally
+complex) axis.
 
 One ``canonical_form`` serves any non-null K, of either kind.
 """
 
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
 from . import lorentz
 from . import noncomm
-from .algebra import _cmul, cabs, ccross, cdot, conj_components, mul, quat
+from .algebra import _cmul, cabs, ccross, cdot, mul, quat
 from .constitutive import f_vector, h_from_f
 from .errors import ZeroKError
 
 
 class SmallGroupDescriptor(NamedTuple):
     kind: str
-    param: str                               # the parameter's label in the report: "chi" or "w"
-    phi_hat: Optional[np.ndarray] = None     # nonisotropic: unit axis, phi_hat.phi_hat = 1
-    phi: Optional[np.ndarray] = None          # isotropic: raw null direction
-    sqrt_square: Optional[complex] = None     # nonisotropic: principal root of phi.phi
+    phi: np.ndarray     # conj(K) / 2^e, with 2^e the power of two just above max|K_i|
+    square: complex     # phi.phi
 
 
 def describe(k):
-    """Classify K and package what ``element`` needs to map the one complex
-    parameter to a stabilizer element: the unit axis ``phi_hat`` of a
-    nonisotropic K or the null direction ``phi`` of an isotropic one."""
+    """Classify K and package what ``element`` needs: the stabilizer
+    direction ``phi`` = conj(K) / 2^e, where e is the ``frexp`` exponent of
+    max|K_i|, and its bilinear square. The scaling is exact, so 2^j K has
+    the bits of K's descriptor."""
     k = np.asarray(k, np.complex128)
     kind = noncomm.classify(k)
     if kind == noncomm.ZERO:
         raise ZeroKError("zero noncommutativity: the stabilizer is the full Lorentz group")
-    phi = noncomm.phi_from_k(k)
-    if kind == noncomm.ISOTROPIC:
-        return SmallGroupDescriptor(kind, "w", phi=phi)
-    ssq = complex(np.sqrt(cdot(phi, phi)))
-    return SmallGroupDescriptor(kind, "chi", phi_hat=phi / ssq, sqrt_square=ssq)
+    e = np.frexp(np.max(cabs(k)))[1]
+    phi = np.ldexp(noncomm.phi_from_k(k).view(float), -e).view(np.complex128)
+    return SmallGroupDescriptor(kind, phi, complex(cdot(phi, phi)))
 
 
 def element(d, chi):
-    """One stabilizer element, or a batch ``[..., 4]`` for an array of
-    parameters.
-
-    ``chi`` is the one complex parameter of either family: the angle of
-    ``L = cos(chi) + sin(chi) * phi_hat`` for a nonisotropic descriptor, the
-    displacement of ``L = 1 + chi * phi`` for an isotropic one, where ``-L``
-    acts as L. The report labels it by ``d.param``, "chi" or "w".
-    """
+    """The stabilizer element exp(chi * phi), or a batch ``[..., 4]`` for an
+    array of parameters: ``cos(x) + chi * sinc(x) * phi`` with
+    ``x = chi * sqrt(phi.phi)`` and ``sinc(0) = 1``. The report labels the
+    parameter ``w``."""
     chi = np.asarray(chi, np.complex128)
-    if d.kind == noncomm.NONISOTROPIC:
-        return quat(np.cos(chi), _cmul(np.sin(chi)[..., None], d.phi_hat))
-    return quat(1.0, _cmul(chi[..., None], d.phi))
+    x = _cmul(chi, np.sqrt(np.complex128(d.square)))
+    sinc = np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0)
+    return quat(np.cos(x), _cmul(_cmul(chi, sinc)[..., None], d.phi))
 
 
 def stabilizes(L, k):
@@ -103,30 +100,29 @@ def canonical_form(k):
     """Lorentz element carrying a non-null K to its canonical frame; returns
     (L, transported K).
 
-    A nonisotropic stabilizer axis ``phi_hat`` lands on a real unit vector,
-    an isotropic ``phi = conj(K)`` on the reference null vector (1, -i, 0).
-    L is a unit rotation times a unit z-boost, so its norm defect is rounding
-    of that product alone and it is not renormalized.
+    A nonisotropic K lands on sqrt(K.K) times the x axis, an isotropic one on
+    the reference null vector (1, i, 0). L is a unit z-boost times a unit
+    rotation, so its norm defect is rounding of that product alone and it is
+    not renormalized.
     """
     k = np.asarray(k, np.complex128)
-    d = describe(k)
-    if d.kind == noncomm.NONISOTROPIC:
-        n, m = d.phi_hat.real, d.phi_hat.imag
-        rot = _orthonormal_rows(n, m)
+    phi = noncomm.phi_from_k(k)
+    if describe(k).kind == noncomm.NONISOTROPIC:
+        phi_hat = phi / np.sqrt(cdot(phi, phi))
+        n, m = phi_hat.real, phi_hat.imag
+        rot, b = _orthonormal_rows(n, m), np.sqrt(cdot(m, m).real)
         if rot is None:   # Im phi_hat too short to orient a frame: the axis is real
-            return lorentz.identity(), k.copy()
+            rot, b = _orthonormal_rows(n, np.eye(3)[np.argmin(np.abs(n))]), 0.0
         # null the imaginary part: after rotating (n -> a x, m -> b y), a boost along z
         # with sinh(2 beta) = -b, cosh(2 beta) = a = sqrt(1 + b^2) lands the axis on x
-        b = np.sqrt(cdot(m, m).real)
         ch = np.sqrt(0.5 * (np.sqrt(1.0 + b * b) + 1.0))
         sh = -0.5 * b / ch
     else:
-        p, q = d.phi.real, d.phi.imag
+        p, q = phi.real, phi.imag
         rot = _orthonormal_rows(p, -q)
-        # a z-boost scales the null transverse vector (1, -i, 0) by exp(-2 beta)
+        # a z-boost scales the null transverse vector (1, i, 0) by exp(-2 beta)
         e = np.sqrt(np.sqrt(cdot(p, p).real))
         ch, sh = 0.5 * (e + 1.0 / e), 0.5 * (e - 1.0 / e)
     # square roots, not numpy's cosh, sinh, arctanh or log: their AVX-512 loops round differently
-    n_boost = quat(ch, (0.0, 0.0, 1j * sh))
-    L = conj_components(mul(n_boost, lorentz.element_from_rotation_matrix(rot)))
+    L = mul(quat(ch, (0.0, 0.0, 1j * sh)), lorentz.element_from_rotation_matrix(rot))
     return L, lorentz.act_vector(L, k)

@@ -128,13 +128,11 @@ def ref_act_four_vector(L, a0, a):
 
 def ref_element(d, p, sign=1):
     p = np.complex128(p)
-    q = np.zeros(4, np.complex128)
-    if d.kind == nc.NONISOTROPIC:
-        q[0] = np.cos(p)
-        q[1:] = [np.sin(p) * x for x in d.phi_hat]
-        return q
-    q[0] = 1.0
-    q[1:] = [p * x for x in d.phi]
+    x = p * np.sqrt(np.complex128(d.square))
+    sinc = np.sin(x) / x if x != 0 else 1.0
+    q = np.empty(4, np.complex128)
+    q[0] = np.cos(x)
+    q[1:] = [p * sinc * c for c in d.phi]
     return sign * q
 
 
@@ -315,25 +313,18 @@ def test_smallgroup_kernels_match_rowwise_reference(kind):
     d = sg.describe(k)
     assert d.kind == kind
     z = rng.uniform(-1.4, 1.4, (N, 2)) + 1j * rng.uniform(-1.4, 1.4, (N, 2))
+    # signed elements, -L being the other sheet of L; an integer sign
+    # times 1 + 0j keeps the +0.0 that unary minus would flip
     sign = rng.choice([-1, 1], (N, 2))
-    if kind == nc.NONISOTROPIC:
-        e1, e2 = sg.element(d, z[:, 0]), sg.element(d, z[:, 1])
-        ref1 = [ref_element(d, c) for c in z[:, 0]]
-        ref2 = [ref_element(d, c) for c in z[:, 1]]
-        target = [ref_element(d, complex(a) + complex(b)) for a, b in z]
-        law = sg.group_law_check(d, alg.mul(e1, e2), z[:, 0] + z[:, 1])
-    else:
-        # signed elements, -L being the other sheet of L; an integer sign
-        # times 1 + 0j keeps the +0.0 that unary minus would flip
-        e1 = sign[:, :1] * sg.element(d, z[:, 0])
-        e2 = sign[:, 1:] * sg.element(d, z[:, 1])
-        ref1 = [ref_element(d, w, sign=int(s)) for w, s in zip(z[:, 0], sign[:, 0])]
-        ref2 = [ref_element(d, w, sign=int(s)) for w, s in zip(z[:, 1], sign[:, 1])]
-        target = [ref_element(d, complex(a) + complex(b), sign=int(s * t))
-                  for (a, b), (s, t) in zip(z, sign)]
-        # the unsigned defect has the bits of the signed one
-        law = group_law(d, z[:, 0], z[:, 1])
-        assert_same_bits(-1 * sg.element(d, z[0, 0]), ref_element(d, z[0, 0], sign=-1))
+    e1 = sign[:, :1] * sg.element(d, z[:, 0])
+    e2 = sign[:, 1:] * sg.element(d, z[:, 1])
+    ref1 = [ref_element(d, w, sign=int(s)) for w, s in zip(z[:, 0], sign[:, 0])]
+    ref2 = [ref_element(d, w, sign=int(s)) for w, s in zip(z[:, 1], sign[:, 1])]
+    target = [ref_element(d, complex(a) + complex(b), sign=int(s * t))
+              for (a, b), (s, t) in zip(z, sign)]
+    # the unsigned defect has the bits of the signed one
+    law = group_law(d, z[:, 0], z[:, 1])
+    assert_same_bits(-1 * sg.element(d, z[0, 0]), ref_element(d, z[0, 0], sign=-1))
     assert_same_bits(e1, ref1)
     assert_same_bits(e2, ref2)
     assert_same_bits(law, [ref_max_abs(ref_mul(a, b) - t)

@@ -55,8 +55,7 @@ def test_nonisotropic_example(tmp_path, capsys):
     assert report["classification"] == "nonisotropic"
     assert report["status"] == "pass"
     assert all(report["checks"].values())
-    phi_hat = np.array([complex(a, b) for a, b in report["small_group"]["phi_hat"]])
-    assert np.max(np.abs(phi_hat - [0, 0, 1.0])) <= 1e-12
+    assert report["small_group"]["phi"] == [[0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]
     assert report["small_group"]["max_stabilizer_residual"] <= 1e-11
     assert report["canonical_form"]["reduction_residual"] <= 1e-10
     assert report["duality"]["offgrid_min_residual"] >= 1e-6 * report["duality"]["peak_residual"]
@@ -254,11 +253,11 @@ def test_numeric_strings_still_accepted(tmp_path):
 ])
 def test_canonical_form_of_nearly_real_axis(tmp_path, eps, theta):
     """An axis whose imaginary part is too short to span a frame, but
-    above the old 1e-13 shortcut, takes the identity reduction."""
+    above the old 1e-13 shortcut, takes a pure rotation onto x."""
     code, rep = run(tmp_path, f"epsilon: [{eps}]\ntheta: [{theta}]\n")
     assert code == 0
     element = yaml.safe_load(rep.read_text())["canonical_form"]["element"]
-    assert element == [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+    assert all(im == 0.0 for _, im in element)
 
 
 @pytest.mark.parametrize("field", ["trials", "scan_n"])
@@ -425,19 +424,22 @@ def test_nan_duality_state_exits_1_without_a_report(tmp_path, capsys):
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", err)
 
 
-NEAR_CONE = "epsilon: [0, -1.0, 0]\ntheta: [1.0, 0, 3.0e-5]\n"
+def test_failed_factorization_writes_a_report(tmp_path, capsys, monkeypatch):
+    # factorize checks nothing, so a rotation off by a factor still gives a
+    # report, whose factorization row fails
+    factorize = lorentz.factorize
 
+    def corrupted(L):
+        rot, bst = factorize(L)
+        return rot * (1 + 1e-6), bst
 
-def test_failed_factorization_writes_a_report(tmp_path, capsys):
-    # theta² − epsilon² = 9e-10: K is not null but classified isotropic, and
-    # the factorized element has norm 1 + 9e-10. factorize checks nothing,
-    # so the run writes a report whose factorization row fails
-    code, rep = run(tmp_path, NEAR_CONE)
+    monkeypatch.setattr(lorentz, "factorize", corrupted)
+    code, rep = run(tmp_path, "epsilon: [0.0, 0.0, 0.0]\ntheta: [0.0, 0.0, 1.0]\n")
     assert code == 1
     report = yaml.safe_load(rep.read_text())
     assert report["status"] == "fail"
-    assert report["checks"]["factorization"] is False
-    assert capsys.readouterr() == (f"fail: isotropic; checks 5/10; report {rep}\n", "")
+    assert [c for c, ok in report["checks"].items() if not ok] == ["factorization"]
+    assert capsys.readouterr() == (f"fail: nonisotropic; checks 9/10; report {rep}\n", "")
 
 
 def test_corrupted_stabilizer_exits_1(tmp_path, capsys, monkeypatch):

@@ -1,12 +1,12 @@
 """``failure_map`` draws each family as its docstring states, and tabulates
-the inputs that fail and their failing rows."""
+the inputs that fail and their failing rows; the whole map is pinned."""
 
 from collections import Counter
 
 import numpy as np
 
 from nced import noncomm as nc
-from failure_map import draw, failure_map, table
+from failure_map import ROWS as MAP_ROWS, draw, failure_map, table
 
 # one input per family, at a size where every row passes, with the
 # classification and the (|epsilon|², |theta|²) it is drawn to have
@@ -36,3 +36,16 @@ def test_table_counts_inputs_and_rows():
         "| isotropic | m = 100 | 20/20 | invariance 20, stabilizer 11 |",
         "| near-isotropic | r = 1e-08 | 0/20 | - |",
     ]
+
+
+# the rows where every input fails, each on canonical_form alone: the
+# ill-conditioned corner, where the canonical element grows as sqrt|K| (the
+# isotropic m = 1e8 and 1e12) or K is not null but is classified isotropic
+# (the near-isotropic r = 1e-9)
+CANONICAL_CORNER = {("isotropic", 1e8), ("isotropic", 1e12), ("near-isotropic", 1e-9)}
+
+
+def test_map_fails_only_the_canonical_corner():
+    assert failure_map() == [
+        (family, size, 20, Counter(canonical_form=20)) if (family, size) in CANONICAL_CORNER
+        else (family, size, 0, Counter()) for family, size in MAP_ROWS]

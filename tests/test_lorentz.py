@@ -6,7 +6,7 @@ import pytest
 
 from nced import algebra as alg
 from nced import lorentz as lo
-from nced import smallgroup as sg
+from nced import noncomm as nc
 from conftest import rand_isotropic_k, rand_rotation, rand_unit_element
 
 
@@ -291,8 +291,8 @@ def test_factorize_large_isotropic_elements(size):
     divisor, from that element's scalar part, does not."""
     rng = np.random.default_rng(17)
     for _ in range(50):
-        d = sg.describe(rand_isotropic_k(rng, (size, size)))
-        rot, bst = lo.factorize(sg.element(d, 1.0))
+        phi = nc.phi_from_k(rand_isotropic_k(rng, (size, size)))
+        rot, bst = lo.factorize(alg.quat(1.0, phi))
         assert np.all(np.isfinite(rot)) and np.all(np.isfinite(bst))
 
 

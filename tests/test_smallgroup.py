@@ -9,13 +9,15 @@ from nced import noncomm as nc
 from nced import smallgroup as sg
 from nced.errors import ZeroKError
 from conftest import group_law, rand_isotropic_k, rand_nonisotropic_k, rand_unit_element
+from test_algebra import _TABLE
 
 
 def test_describe_real_axis():
+    # max|K_i| = 1 = 0.5·2¹, so phi = conj(K) / 2, exactly
     k = np.array([0, 0, 1.0], complex)
     d = sg.describe(k)
     assert d.kind == nc.NONISOTROPIC
-    assert np.max(np.abs(d.phi_hat - [0, 0, 1.0])) <= 1e-15
+    assert np.array_equal(d.phi, [0, 0, 0.5]) and d.square == 0.25
 
 
 def test_describe_isotropic_example():
@@ -23,8 +25,7 @@ def test_describe_isotropic_example():
     k = nc.k_from_vectors(nc.ThetaVectors(np.array([0, -1.0, 0]), np.array([1.0, 0, 0])))
     d = sg.describe(k)
     assert d.kind == nc.ISOTROPIC
-    assert np.max(np.abs(d.phi - [1.0, -1.0j, 0.0])) <= 1e-15
-    assert abs(d.phi @ d.phi) <= 1e-15
+    assert np.array_equal(d.phi, [0.5, -0.5j, 0.0]) and d.square == 0.0
 
 
 def test_describe_zero_raises():
@@ -32,11 +33,18 @@ def test_describe_zero_raises():
         sg.describe(np.zeros(3, complex))
 
 
-def test_describe_unit_axis_random():
+def test_describe_scales_conj_k_into_half_to_one():
     rng = np.random.default_rng(0)
-    for _ in range(100):
-        d = sg.describe(rand_nonisotropic_k(rng))
-        assert abs(d.phi_hat @ d.phi_hat - 1.0) <= 1e-12
+    for m in 10.0 ** np.arange(-8, 150, 7):
+        for make in (rand_nonisotropic_k, rand_isotropic_k):
+            k = m * make(rng)
+            d = sg.describe(k)
+            size = np.max(alg.cabs(d.phi))
+            assert 0.5 <= size < 1.0
+            # the scale is a power of two: the mantissas of K are kept
+            assert np.array_equal(np.frexp(d.phi.view(float))[0],
+                                  np.frexp(nc.phi_from_k(k).view(float))[0])
+            assert d.square == complex(alg.cdot(d.phi, d.phi))
 
 
 @pytest.mark.parametrize("kind, k", [(nc.NONISOTROPIC, [0, 0, 1.0]),
@@ -49,23 +57,44 @@ def test_element_identity_at_zero_parameter(kind, k):
 
 
 def test_element_rotation_and_boost_on_real_axis():
+    # phi = (0, 0, 1/2), so the half-angle is w/2
     d = sg.describe(np.array([0, 0, 1.0], complex))
     a = 0.3
-    rot = sg.element(d, a)
+    rot = sg.element(d, 2 * a)
     assert np.max(np.abs(rot - lo.rotation((0, 0, 1), a))) <= 1e-15
     b = 0.4
-    bst = sg.element(d, 1j * b)
+    bst = sg.element(d, 2j * b)
     assert np.max(np.abs(bst - lo.boost((0, 0, 1), b))) <= 1e-15
 
 
-def test_element_isotropic_norm_exact():
-    rng = np.random.default_rng(1)
-    d = sg.describe(rand_isotropic_k(rng))
-    L = sg.element(d, 0.3 + 0.2j)
-    assert abs(alg.norm(L) - 1.0) <= 1e-14
-    # numpy's scalar product rounds as algebra._cmul does
-    assert np.array_equal(L[1:], [np.complex128(0.3 + 0.2j) * x for x in d.phi])
-    assert L[0] == 1.0
+def test_exponential_map_is_unit_and_additive_as_identities_in_s():
+    """With s = phi.phi = r², element(w) = cos(w r) + (sin(w r) / r)·phi. Over
+    the structure constants of the algebra, for a symbolic phi, its norm is 1
+    and L(w1)·L(w2) = L(w1 + w2) as identities in r, so for every s, and
+    both sides are even in r: the map needs no branch of sqrt(s). At s = 0
+    it is the isotropic family 1 + w·phi."""
+    sympy = pytest.importorskip("sympy")
+    w1, w2, r = sympy.symbols("w1 w2 r")
+    phi = sympy.symbols("p1:4")
+
+    def exp_map(w):
+        return [sympy.cos(w * r)] + [sympy.sin(w * r) / r * x for x in phi]
+
+    def on_the_quadric(expr):
+        # s = r²: eliminate p3² in favour of r² - p1² - p2²
+        p3_squared = r ** 2 - phi[0] ** 2 - phi[1] ** 2
+        return sympy.expand(sympy.expand(expr).subs(phi[2] ** 2, p3_squared))
+
+    def vanishes(expr):
+        return sympy.simplify(sympy.expand_trig(on_the_quadric(expr))) == 0
+
+    L1, L2, L12 = exp_map(w1), exp_map(w2), exp_map(w1 + w2)
+    assert vanishes(sum(x * x for x in L1) - 1)
+    product = [sum(L1[a] * L2[b] * _TABLE[a, b, c] for a in range(4) for b in range(4))
+               for c in range(4)]
+    assert all(vanishes(x - y) for x, y in zip(product, L12))
+    assert [sympy.limit(x, r, 0) for x in L1] == [1, w1 * phi[0], w1 * phi[1], w1 * phi[2]]
+    assert [x.subs(r, -r) for x in L1] == L1
 
 
 def test_stabilizes_members():
@@ -141,18 +170,23 @@ def test_isotropic_nilpotency():
         assert np.max(np.abs(sq)) <= 1e-13 * max(1.0, np.max(np.abs(shifted)) ** 2)
 
 
-def test_parameter_periodicity():
-    # chi + pi gives the other sheet of the double cover, same action
+@pytest.mark.parametrize("j", [-25, -3, 5, 100, 480])
+def test_power_of_two_scaling_is_exact(j):
+    """describe(2^j K) has the bits of describe(K), so the elements are the
+    same, and their stabilizer residual on 2^j K is exactly 2^j times the
+    one on K."""
     rng = np.random.default_rng(9)
-    k = rand_nonisotropic_k(rng)
-    d = sg.describe(k)
-    chi = 0.3 - 0.2j
-    L1 = sg.element(d, chi)
-    L2 = sg.element(d, chi + np.pi)
-    assert np.max(np.abs(L1 + L2)) <= 1e-12
-    assert np.max(np.abs(lo.so3c_matrix(L1) - lo.so3c_matrix(L2))) <= 1e-12
-    L3 = sg.element(d, chi + 2 * np.pi)
-    assert np.max(np.abs(L1 - L3)) <= 1e-12
+    w = rng.uniform(-1.4, 1.4, 20) + 1j * rng.uniform(-1.4, 1.4, 20)
+    for make in (rand_nonisotropic_k, rand_isotropic_k) * 25:
+        k = make(rng)
+        d, d2 = sg.describe(k), sg.describe(np.ldexp(1.0, j) * k)
+        assert d2.kind == d.kind
+        assert np.array_equal(d2.phi.view(np.uint64), d.phi.view(np.uint64))
+        assert np.array_equal(np.array([d2.square]).view(np.uint64),
+                              np.array([d.square]).view(np.uint64))
+        L = sg.element(d, w)
+        assert np.array_equal(sg.stabilizes(L, np.ldexp(1.0, j) * k),
+                              np.ldexp(sg.stabilizes(L, k), j))
 
 
 def test_structure_rotation_boost_split():
@@ -160,7 +194,7 @@ def test_structure_rotation_boost_split():
     # and boost generated by Re(chi) and Im(chi)
     d = sg.describe(np.array([0, 1.0, 0], complex))
     a, b = 0.37, 0.21
-    L = sg.element(d, a + 1j * b)
+    L = sg.element(d, 2 * (a + 1j * b))
     rot, bst = lo.factorize(L)
     assert np.max(np.abs(rot - lo.rotation((0, 1, 0), a))) <= 1e-13
     assert np.max(np.abs(bst - lo.boost((0, 1, 0), b))) <= 1e-13
@@ -183,33 +217,32 @@ def test_stabilizer_candidates_have_aligned_vector_part():
 # canonical forms
 
 
-def test_canonical_form_already_real():
-    k = np.array([0, 0, 2.0], complex)
+@pytest.mark.parametrize("axis", [(0, 0, 2.0), (1.0, 0, 0), (0, -3.0, 0), (1.0, 2.0, -2.0)])
+def test_canonical_form_already_real(axis):
+    # a real axis needs no boost, only the rotation that carries it onto x
+    k = np.array(axis, complex)
     L, k_can = sg.canonical_form(k)
-    assert np.max(np.abs(L - lo.identity())) == 0.0
-    assert np.max(np.abs(k_can - k)) <= 1e-12
+    assert np.all(L.imag == 0.0)
+    assert np.max(np.abs(k_can - [np.linalg.norm(axis), 0, 0])) <= 1e-15 * np.linalg.norm(axis)
+    assert np.array_equal(k_can, lo.act_vector(L, k))
 
 
 def test_canonical_form_explicit_pair():
-    # phi_hat = n + i m with n = (sqrt 2, 0, 0), m = (0, 1, 0)
-    phi_hat = np.array([np.sqrt(2.0), 1.0j, 0.0])
-    assert abs(phi_hat @ phi_hat - 1.0) <= 1e-15
-    k = np.conj(phi_hat) * 1.3
+    # K = 1.3 (n - i m) with n = (sqrt 2, 0, 0), m = (0, 1, 0): K.K = 1.69
+    k = 1.3 * np.array([np.sqrt(2.0), -1.0j, 0.0])
     L, k_can = sg.canonical_form(k)
-    d = sg.describe(k)
-    image = lo.act_vector(L, d.phi_hat)
-    assert np.max(np.abs(image.imag)) <= 1e-12
-    assert abs(image @ image - 1.0) <= 1e-12
+    assert np.max(np.abs(k_can[1:])) <= 1e-15
+    assert abs(k_can[0] - 1.3) <= 1e-15
 
 
 def test_canonical_form_random():
+    # K lands on sqrt(K.K) times the x axis, for one of the two roots
     rng = np.random.default_rng(11)
     for _ in range(100):
         k = rand_nonisotropic_k(rng)
         L, k_can = sg.canonical_form(k)
-        d = sg.describe(k)
-        image = lo.act_vector(L, d.phi_hat)
-        assert np.max(np.abs(image.imag)) <= 1e-11
+        assert np.max(np.abs(k_can[1:])) <= 1e-15 * np.max(np.abs(k)) * lo.abs2(L)
+        assert min(abs(k_can[0] - r) for r in (np.sqrt(k @ k), -np.sqrt(k @ k))) <= 1e-14
         assert abs(k_can @ k_can - k @ k) <= 1e-12 * max(1.0, abs(k @ k)) * lo.abs2(L) ** 2
 
 
@@ -220,13 +253,11 @@ def test_canonical_form_rejects_zero_k():
 
 def test_canonical_form_reaches_null_reference():
     rng = np.random.default_rng(13)
-    target = np.array([1.0, -1.0j, 0.0])
     for _ in range(50):
         k = rand_isotropic_k(rng)
         L, k_can = sg.canonical_form(k)
-        image = lo.act_vector(L, nc.phi_from_k(k))
-        assert np.max(np.abs(image - target)) <= 1e-11
-        assert abs(k_can @ k_can) <= 1e-11
+        assert np.max(np.abs(k_can - [1.0, 1.0j, 0.0])) <= 1e-13
+        assert abs(k_can @ k_can) <= 1e-13
 
 
 def near_isotropic_k(rng, r):
