@@ -24,7 +24,7 @@ from . import smallgroup as sg
 def nonmember_residual(k):
     """Largest stabilizer residual of the rotations by 1 about the three lab
     axes; no K is fixed by all three, and the residual is of degree 1 in K."""
-    return float(np.max(sg.stabilizes(lorentz.rotation(np.eye(3), 0.5), k)))
+    return float(np.max(sg.stabilizes(lorentz.exp(0.5, np.eye(3)), k)))
 
 
 def offgrid_min(chis, residuals):

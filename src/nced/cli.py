@@ -223,8 +223,8 @@ def _covariance_check(k):
     boosts that reject a map built on one. Their Σ|qᵢ|² = cosh 2.6 ≈ 6.8 is
     the size of the largest elements the check once drew at random (≤ 8).
     """
-    rot = lorentz.rotation(np.eye(3), 0.7)
-    bst = lorentz.boost(np.eye(3), 1.3)
+    rot = lorentz.exp(0.7, np.eye(3))
+    bst = lorentz.exp(1.3j, np.eye(3))
     L = np.concatenate([rot, bst, mul(rot[:, None], bst).reshape(9, 4)])
     E = np.vstack([np.eye(3), du.GENERIC_E])
     B = np.vstack([np.roll(np.eye(3), 1, axis=1), du.GENERIC_B])

@@ -2,9 +2,10 @@
 
 Elements are length-4 complex arrays with ``norm(L) = 1``.  Real elements are
 spatial rotations; elements with real scalar and imaginary vector part are
-boosts.  The native group parameter is a half-angle: ``rotation(n, chi)``
-rotates by ``2*chi`` and ``boost(n, beta)`` has rapidity ``2*beta``.  Elements
-are unit by construction; none is renormalized, and the report rows check them.
+boosts.  Every one-parameter family is ``exp(w, axis)``, and its parameter is
+a half-angle: on a unit real axis ``exp(chi, n)`` rotates by ``2*chi`` and
+``exp(1j*beta, n)`` has rapidity ``2*beta``.  Elements are unit by
+construction; none is renormalized, and the report rows check them.
 
 Convention notes (fixed here once, used consistently everywhere):
 
@@ -35,20 +36,25 @@ def abs2(q):
     return np.sum(alg.cabs(q) ** 2, axis=-1)
 
 
-def _unit(axis):
-    """Each real axis of ``axis[..., 3]`` divided by its length."""
-    axis = np.asarray(axis, float)
-    return axis / np.sqrt(alg.cdot(axis, axis).real)[..., None]
+def exp(w, axis):
+    """The element exp(w * axis) of a complex parameter ``w`` and a complex
+    3-vector ``axis``, or a batch ``[..., 4]``: ``w[...]`` and
+    ``axis[..., 3]`` broadcast.
 
-
-def rotation(axis, chi):
-    """Spatial rotation about each real axis of ``axis[..., 3]`` by angle 2*chi."""
-    return alg.quat(np.cos(chi), np.sin(chi) * _unit(axis))
-
-
-def boost(axis, beta):
-    """Boost along each real axis of ``axis[..., 3]`` with rapidity 2*beta."""
-    return alg.quat(np.cosh(beta), 1j * np.sinh(beta) * _unit(axis))
+    A pure vector v squares to ``-(v.v)``, so ``exp(v) = cos(x) + sin(x)/x * v``
+    with ``x^2 = v.v``; here ``cos(x) + w * sinc(x) * axis`` with
+    ``x = w * sqrt(axis.axis)`` and ``sinc(0) = 1``.  cos and sinc are even
+    in x, so the branch of the root does not matter; the axis need not be
+    unit, and the norm is 1 for every axis.  On a unit
+    real axis a real ``w`` rotates by ``2*w`` and ``w = i*beta`` boosts with
+    rapidity ``2*beta``.  ``w`` and ``axis`` stay apart, because forming
+    ``w * axis`` first would round before the root.
+    """
+    w = np.asarray(w, np.complex128)
+    axis = np.asarray(axis, np.complex128)
+    x = alg._cmul(w, np.sqrt(alg.cdot(axis, axis)))
+    sinc = np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0)
+    return alg.quat(np.cos(x), alg._cmul(alg._cmul(w, sinc)[..., None], axis))
 
 
 def act_vector(L, v):

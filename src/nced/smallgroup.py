@@ -2,14 +2,11 @@
 
 The paper's two families, ``cos(chi) + sin(chi) * phi_hat`` for a
 nonisotropic K and ``1 + w * phi`` for an isotropic one (``K.K = 0``), are
-both ``exp(w * phi)`` with ``phi = conj(K) = theta + i*epsilon``: a pure
-vector v squares to ``-(v.v)``, so ``exp(v) = cos(x) + sin(x)/x * v`` with
-``x^2 = v.v``.  cos and sin(x)/x are even in x, so the element depends only
-on ``phi.phi``; it needs no kind, no branch of a root and no unit axis, and
-it is unit for every K.  ``phi`` is conj(K) over a power of two, exactly, so
-that it is of size one; the real and imaginary parts of the one complex
-parameter ``w`` generate a rotation and a boost about the same (generally
-complex) axis.
+both ``lorentz.exp(w, phi)`` with ``phi = conj(K) = theta + i*epsilon``, so
+the element needs no kind and is unit for every K.  ``phi`` is conj(K) over
+a power of two, exactly, so that it is of size one; the real and imaginary
+parts of the one complex parameter ``w`` generate a rotation and a boost
+about the same (generally complex) axis.
 
 One ``canonical_form`` serves any non-null K, of either kind.
 """
@@ -20,7 +17,7 @@ import numpy as np
 
 from . import lorentz
 from . import noncomm
-from .algebra import _cmul, cabs, ccross, cdot, mul, quat
+from .algebra import cabs, ccross, cdot, mul, quat
 from .constitutive import f_vector, h_from_f
 from .errors import ZeroKError
 
@@ -47,13 +44,8 @@ def describe(k):
 
 def element(d, chi):
     """The stabilizer element exp(chi * phi), or a batch ``[..., 4]`` for an
-    array of parameters: ``cos(x) + chi * sinc(x) * phi`` with
-    ``x = chi * sqrt(phi.phi)`` and ``sinc(0) = 1``. The report labels the
-    parameter ``w``."""
-    chi = np.asarray(chi, np.complex128)
-    x = _cmul(chi, np.sqrt(np.complex128(d.square)))
-    sinc = np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0)
-    return quat(np.cos(x), _cmul(_cmul(chi, sinc)[..., None], d.phi))
+    array of parameters; the report labels the parameter ``w``."""
+    return lorentz.exp(chi, d.phi)
 
 
 def stabilizes(L, k):

@@ -99,22 +99,14 @@ def ref_act_vector(L, v):
     return r[1:4]
 
 
-def ref_unit(axis):
-    size = np.sqrt(axis[0] * axis[0] + axis[1] * axis[1] + axis[2] * axis[2])
-    return [x / size for x in axis]
-
-
-def ref_rotation(axis, chi):
+def ref_exp(w, axis):
+    w = np.complex128(w)
+    axis = np.asarray(axis, np.complex128)
+    x = w * np.sqrt(ref_cdot(axis, axis))
+    sinc = np.sin(x) / x if x != 0 else 1.0
     q = np.empty(4, np.complex128)
-    q[0] = np.cos(chi)
-    q[1:] = [np.sin(chi) * x for x in ref_unit(axis)]
-    return q
-
-
-def ref_boost(axis, beta):
-    q = np.empty(4, np.complex128)
-    q[0] = np.cosh(beta)
-    q[1:] = [1j * np.sinh(beta) * x for x in ref_unit(axis)]
+    q[0] = np.cos(x)
+    q[1:] = [w * sinc * c for c in axis]
     return q
 
 
@@ -127,13 +119,7 @@ def ref_act_four_vector(L, a0, a):
 
 
 def ref_element(d, p, sign=1):
-    p = np.complex128(p)
-    x = p * np.sqrt(np.complex128(d.square))
-    sinc = np.sin(x) / x if x != 0 else 1.0
-    q = np.empty(4, np.complex128)
-    q[0] = np.cos(x)
-    q[1:] = [p * sinc * c for c in d.phi]
-    return sign * q
+    return sign * ref_exp(p, d.phi)
 
 
 def ref_max_abs(v):
@@ -284,14 +270,21 @@ def test_act_vector_matches_rowwise_reference():
     assert_same_bits(lorentz.act_vector(L[0], v[0]), ref_act_vector(L[0], v[0]))
 
 
-def test_rotation_boost_and_four_vector_action_match_rowwise_reference():
+def test_exp_and_four_vector_action_match_rowwise_reference():
     rng = np.random.default_rng(4)
-    # the lab axes first: the report's fixed designs are built on them
-    axes = np.vstack([np.eye(3), rng.normal(size=(N, 3)) * 10.0 ** rng.uniform(-3, 3, (N, 1))])
-    for angle in (0.7, -1.3):
-        for kernel, ref in ((lorentz.rotation, ref_rotation), (lorentz.boost, ref_boost)):
-            assert_same_bits(kernel(axes, angle), [ref(a, angle) for a in axes])
-            assert_same_bits(kernel(axes[5], angle), ref(axes[5], angle))
+    # the lab axes first: the report's fixed designs are built on them; then
+    # real and complex axes small enough that cosh(Im x) stays finite, and
+    # the zero axis, where sinc(0) = 1
+    real = rng.normal(size=(N, 3)) * 10.0 ** rng.uniform(-3, 2, (N, 1))
+    axes = np.vstack([np.eye(3), real, rand_complex(rng, N, 3) / 100.0, np.zeros(3)])
+    for w in (0.7, -1.3, 1.3j, -0.4j, 0.7 - 1.3j, 0.0):
+        assert_same_bits(lorentz.exp(w, axes), [ref_exp(w, a) for a in axes])
+        assert_same_bits(lorentz.exp(w, axes[5]), ref_exp(w, axes[5]))
+    ws = rng.uniform(-1.4, 1.4, len(axes)) + 1j * rng.uniform(-1.4, 1.4, len(axes))
+    ws.real[::3] = 0.0
+    ws.imag[1::3] = 0.0
+    assert_same_bits(lorentz.exp(ws, axes), [ref_exp(w, a) for w, a in zip(ws, axes)])
+    assert_same_bits(lorentz.exp(ws, axes[-2]), [ref_exp(w, axes[-2]) for w in ws])
     L, a0, a = rand_complex(rng, N, 4), rng.normal(size=N), rng.normal(size=(N, 3))
     rows = [ref_act_four_vector(*row) for row in zip(L, a0, a)]
     for got, want in ((lorentz.act_four_vector(L, a0, a), rows),

@@ -206,7 +206,7 @@ def test_fixed_medium_breaks_generic_covariance():
     B = np.array([0, 1.0, 0])
     tv = nc.ThetaVectors(np.array([0.2, 0, 0]), np.array([0, 0, 0.3]))
     k = nc.k_from_vectors(tv)
-    L = lo.boost((1.0, 0, 0), 0.4)
+    L = lo.exp(0.4j, (1.0, 0, 0))
     f = ct.f_vector(E, B)
     h = ct.h_from_f(f, k)
     fp = lo.act_vector(L, f)
@@ -288,7 +288,7 @@ def test_rotations_alone_cannot_see_a_hermitian_dot(monkeypatch):
     """Why the design needs boosts: a real rotation preserves the Hermitian
     dot too, so the corrupted map passes every rotation of the design."""
     k = ct.f_vector((0.3, -1.0, 0.5), (1.0, 0.2, 2.0))
-    rot = lo.rotation(np.eye(3), 0.7)
+    rot = lo.exp(0.7, np.eye(3))
     E, B = np.eye(3), np.roll(np.eye(3), 1, axis=1)
     with hermitian_dot(monkeypatch):
         assert np.max(ct.covariant_transport_check(k, rot[:, None], E, B)) <= 1e-14

@@ -1,12 +1,20 @@
 """Lorentz elements: vector/four-vector actions, matrix realizations,
 polar factorization."""
 
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from nced import algebra as alg
+from nced import cli
 from nced import lorentz as lo
 from nced import noncomm as nc
+from nced import smallgroup as sg
 from conftest import rand_isotropic_k, rand_rotation, rand_unit_element
 
 
@@ -32,11 +40,12 @@ def test_rotation_and_boost_norm_defect_is_rounding():
     rng = np.random.default_rng(18)
     for _ in range(200):
         n = rng.normal(size=3)
+        n /= np.linalg.norm(n)
         chi = rng.uniform(-np.pi, np.pi)
         beta = rng.uniform(-5.0, 5.0)
-        assert abs(alg.norm(lo.rotation(n, chi)) - 1.0) <= 8 * EPS
+        assert abs(alg.norm(lo.exp(chi, n)) - 1.0) <= 8 * EPS
         size = np.cosh(beta) ** 2
-        assert abs(alg.norm(lo.boost(n, beta)) - 1.0) <= 8 * EPS * size
+        assert abs(alg.norm(lo.exp(1j * beta, n)) - 1.0) <= 8 * EPS * size
 
 
 @pytest.mark.parametrize("angle", [0.3, 2.0, 3.0])
@@ -45,13 +54,44 @@ def test_element_from_rotation_matrix_is_unit_as_built(axis, angle):
     # angles past 2*pi/3 make the trace negative, so Shepperd's method takes
     # the branch of the largest diagonal entry, which is the rotation axis
     n = np.eye(3)[axis] + 0.05 * np.array([1.0, -1.0, 0.5])
-    q = lo.rotation(n, angle / 2)
+    q = lo.exp(angle / 2, n / np.linalg.norm(n))
     r = lo.so3c_entries(q).real
     q2 = lo.element_from_rotation_matrix(r)
     assert np.all(q2.imag == 0.0)
     assert abs(alg.norm(q2) - 1.0) <= 16 * EPS
     sign = 1.0 if np.abs(q2 - q).max() < np.abs(q2 + q).max() else -1.0
     assert np.max(np.abs(sign * q2 - q)) <= 1e-14
+
+
+def exp_grid():
+    """exp over real, imaginary and complex w, on the lab axes, on random
+    unit real axes and on the stabilizer directions of the golden inputs."""
+    golden = Path(__file__).parent / "data" / "golden"
+    phis = [sg.describe(nc.k_from_vectors(cli.load_input(golden / f"{kind}.yaml"))).phi
+            for kind in ("nonisotropic", "isotropic")]
+    real = np.random.default_rng(26).normal(size=(4, 3))
+    real /= np.linalg.norm(real, axis=1)[:, None]
+    axes = np.vstack([np.eye(3), [0.6, 0.8, 0.0], real, phis])
+    parts = np.linspace(-3.0, 3.0, 61)
+    w = np.concatenate([(parts[:, None] + 1j * parts).ravel(), 1j * np.linspace(0.01, 3.0, 300)])
+    return lo.exp(w[:, None], axes)
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
+                    reason="the setting names x86_64 SIMD targets")
+def test_exp_keeps_its_bits_without_simd_dispatch():
+    # the complex cos and sin take one code path on every CPU; numpy's real
+    # cosh and sinh do not (their AVX-512 loops round differently)
+    from numpy._core._multiarray_umath import __cpu_dispatch__
+    if not __cpu_dispatch__:
+        pytest.skip("numpy dispatches no SIMD target here")
+    child = subprocess.run(
+        [sys.executable, "-c", "import sys; from test_lorentz import exp_grid; "
+                               "sys.stdout.buffer.write(exp_grid().tobytes())"],
+        cwd=Path(__file__).parent, capture_output=True, timeout=60,
+        env={**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(__cpu_dispatch__)})
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == exp_grid().tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +107,7 @@ def test_act_vector_identity():
 def test_act_vector_real_rotation_matches_entry_map():
     # for a real element the action matrix is the displayed entry map itself
     a = 0.4
-    L = lo.rotation((0, 0, 1), a)
+    L = lo.exp(a, (0, 0, 1))
     v = np.array([1.0, 0.0, 0.0], complex)
     got = lo.act_vector(L, v)
     want = lo.so3c_entries(L) @ v
@@ -177,7 +217,7 @@ def test_lorentz_matrix4_identity():
 
 def test_boost_matrix_top_entry():
     b = 0.45
-    m = lo.lorentz_matrix4(lo.boost((0, 0, 1), b))
+    m = lo.lorentz_matrix4(lo.exp(1j * b, (0, 0, 1)))
     assert abs(m[0, 0] - np.cosh(2 * b)) <= 1e-13
     assert np.max(np.abs(m - m.T)) == 0.0  # boosts are symmetric
 
@@ -207,14 +247,14 @@ def test_compose_with_identity_and_inverse():
 
 
 def test_factorize_pure_rotation():
-    L = lo.rotation((0.6, 0.8, 0.0), 0.7)
+    L = lo.exp(0.7, (0.6, 0.8, 0.0))
     rot, bst = lo.factorize(L)
     assert np.max(np.abs(rot - L)) <= 1e-14
     assert np.max(np.abs(bst - lo.identity())) <= 1e-14
 
 
 def test_factorize_pure_boost():
-    L = lo.boost((0.0, 1.0, 0.0), 0.6)
+    L = lo.exp(0.6j, (0.0, 1.0, 0.0))
     rot, bst = lo.factorize(L)
     assert np.max(np.abs(bst - L)) <= 1e-14
     assert np.max(np.abs(rot - lo.identity())) <= 1e-14
@@ -278,7 +318,7 @@ def test_unchecked_identities_hold_for_non_unit_elements():
 def test_factorize_of_non_unit_element_does_not_recompose():
     """Negative control for the report's ``factorization`` row: the factors
     of a non-unit element multiply back to something far from it."""
-    L = 1j * lo.rotation((0, 0, 1), 0.3)
+    L = 1j * lo.exp(0.3, (0, 0, 1))
     rot, bst = lo.factorize(L)
     assert np.max(alg.cabs(alg.mul(rot, bst) - L)) >= 0.5
 

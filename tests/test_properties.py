@@ -1,6 +1,7 @@
 """Property: every valid input, in vector or matrix form, gets a report, the
 report passes exactly when each of its checks does, and a check whose report
-values are not all finite fails.
+values are not all finite fails. And the small group of 2^j K is the small
+group of K, bit for bit.
 
 Inputs are drawn across |K| from 1e-12 to 1e50, on the isotropic cone and in
 the band beside it that is classified isotropic although K is not null, and
@@ -13,6 +14,7 @@ import pytest
 
 from nced import cli
 from nced import noncomm as nc
+from nced import smallgroup as sg
 from conftest import rand_isotropic_k
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -111,3 +113,34 @@ def test_every_valid_input_gets_a_report_that_passes_when_its_checks_do(doc):
         values = [_value(report, path) for path in ROW_VALUES[row]]
         if not all(np.all(np.isfinite(v)) for v in values):
             assert not ok, (row, values)
+
+
+@st.composite
+def unit_size_k(draw):
+    """K of size about one: on the isotropic cone, s (p + i q), or off it,
+    s p + i t (cos c q + sin c p), with p ⟂ q real unit vectors."""
+    p, q = draw(orthonormal_pair())
+    s = draw(st.floats(0.5, 2.0))
+    if draw(st.booleans()):
+        return s * (p + 1j * q)
+    c = draw(ANGLES)
+    return s * p + 1j * draw(st.floats(0.0, 2.0)) * (np.cos(c) * q + np.sin(c) * p)
+
+
+PARAMETERS = st.lists(st.complex_numbers(max_magnitude=2.0), min_size=1, max_size=8)
+
+
+# below 2^-25 a K of size one is classified zero; above 2^480 its |K|^2 overflows
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(unit_size_k(), st.integers(-25, 480), PARAMETERS)
+def test_power_of_two_scaling_keeps_the_small_group_bits(k, j, w):
+    """describe(2^j K) has the bits of describe(K), so the elements are the
+    same, and their stabilizer residual on 2^j K is exactly 2^j times the
+    one on K."""
+    k2 = np.ldexp(1.0, j) * k
+    d, d2 = sg.describe(k), sg.describe(k2)
+    assert d2.kind == d.kind
+    assert d2.phi.tobytes() == d.phi.tobytes()
+    assert np.complex128(d2.square).tobytes() == np.complex128(d.square).tobytes()
+    L = sg.element(d, np.array(w))
+    assert sg.stabilizes(L, k2).tobytes() == np.ldexp(sg.stabilizes(L, k), j).tobytes()

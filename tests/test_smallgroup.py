@@ -57,14 +57,15 @@ def test_element_identity_at_zero_parameter(kind, k):
 
 
 def test_element_rotation_and_boost_on_real_axis():
-    # phi = (0, 0, 1/2), so the half-angle is w/2
+    # phi = (0, 0, 1/2), so the half-angle is w/2; element is lorentz.exp, so
+    # the rotation and the boost are written out in real cos/sin, cosh/sinh
     d = sg.describe(np.array([0, 0, 1.0], complex))
     a = 0.3
     rot = sg.element(d, 2 * a)
-    assert np.max(np.abs(rot - lo.rotation((0, 0, 1), a))) <= 1e-15
+    assert np.max(np.abs(rot - alg.quat(np.cos(a), (0, 0, np.sin(a))))) <= 1e-15
     b = 0.4
     bst = sg.element(d, 2j * b)
-    assert np.max(np.abs(bst - lo.boost((0, 0, 1), b))) <= 1e-15
+    assert np.max(np.abs(bst - alg.quat(np.cosh(b), (0, 0, 1j * np.sinh(b))))) <= 1e-15
 
 
 def test_exponential_map_is_unit_and_additive_as_identities_in_s():
@@ -119,7 +120,7 @@ def test_stabilizes_identity_exactly():
 
 def test_generic_rotation_fails_to_stabilize():
     k = np.array([0, 0, 1.0], complex)
-    L = lo.rotation((1.0, 0, 0), 0.5)
+    L = lo.exp(0.5, (1.0, 0, 0))
     assert sg.stabilizes(L, k) > 1e-3
 
 
@@ -196,8 +197,8 @@ def test_structure_rotation_boost_split():
     a, b = 0.37, 0.21
     L = sg.element(d, 2 * (a + 1j * b))
     rot, bst = lo.factorize(L)
-    assert np.max(np.abs(rot - lo.rotation((0, 1, 0), a))) <= 1e-13
-    assert np.max(np.abs(bst - lo.boost((0, 1, 0), b))) <= 1e-13
+    assert np.max(np.abs(rot - lo.exp(a, (0, 1, 0)))) <= 1e-13
+    assert np.max(np.abs(bst - lo.exp(1j * b, (0, 1, 0)))) <= 1e-13
 
 
 def test_stabilizer_candidates_have_aligned_vector_part():
@@ -364,5 +365,5 @@ def test_invariance_nonmember_boost():
     E = np.array([1.0, 0, 0])
     B = np.array([0, 1.0, 0])
     k = np.array([0, 0, 1.0], complex)  # |K| ~ 1
-    L = lo.boost((1.0, 0, 0), 0.3)
+    L = lo.exp(0.3j, (1.0, 0, 0))
     assert sg.verify_constitutive_invariance(k, L, E, B) > 1e-4
