@@ -66,20 +66,16 @@ def _components(q):
 
 def cdot(a, b):
     """Complex-bilinear dot product ``(a0 b0 + a1 b1) + a2 b2`` of 3-vectors."""
-    a0, a1, a2 = _components(a)
-    b0, b1, b2 = _components(b)
-    return _cmul(a0, b0) + _cmul(a1, b1) + _cmul(a2, b2)
+    p = _cmul(np.asarray(a, np.complex128), np.asarray(b, np.complex128))
+    return (p[..., 0] + p[..., 1]) + p[..., 2]
 
 
 def ccross(a, b):
-    """Complex-bilinear cross product of 3-vectors."""
-    a0, a1, a2 = _components(a)
-    b0, b1, b2 = _components(b)
-    return np.stack([
-        _cmul(a1, b2) - _cmul(a2, b1),
-        _cmul(a2, b0) - _cmul(a0, b2),
-        _cmul(a0, b1) - _cmul(a1, b0),
-    ], axis=-1)
+    """Complex-bilinear cross product of 3-vectors: component i is
+    ``a[i+1] b[i+2] - a[i+2] b[i+1]``, indices mod 3."""
+    a, b = np.asarray(a, np.complex128), np.asarray(b, np.complex128)
+    i1, i2 = [1, 2, 0], [2, 0, 1]
+    return _cmul(a[..., i1], b[..., i2]) - _cmul(a[..., i2], b[..., i1])
 
 
 def mul(q, p):

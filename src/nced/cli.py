@@ -50,8 +50,9 @@ from . import smallgroup as sg
 from .algebra import cabs, cdot, mul
 from .errors import InputFormatError, NcedError
 
-# the trial checks allocate arrays proportional to their count; the scan holds
-# about 32 B per angle (its angles, residuals and table) plus one block
+# bounds the time of a report: the trial checks hold one block of
+# du.SCAN_BLOCK trials, and the scan about 32 B per angle (its angles,
+# residuals and table) plus one block
 MAX_COUNT = 100_000
 
 # libyaml's emitter writes the same bytes as the pure-Python one, faster
@@ -158,20 +159,32 @@ def _parameter(u):
     return _uniform(-1.4, 1.4, u[..., 0]) + 1j * _uniform(-1.4, 1.4, u[..., 1])
 
 
-def _small_group_trials(n, seed):
-    """The small-group trials of ``seed``: ``n`` group-law parameter pairs
-    ``(p1, p2)``, then ``n`` invariance trials ``(p, E, B)``, from the 4 and
-    the 8 doubles that as many ``random.Random(seed).random()`` calls would
-    return, in order.
+def _trial_blocks(n, seed):
+    """The small-group trials of ``seed`` as two generators of blocks of at
+    most ``du.SCAN_BLOCK`` rows: the group-law parameter pairs ``p_law[rows,
+    2]`` of ``n`` trials in all, then the invariance trials ``(p, E, B)``.
+    Both draw from one ``random.Random(seed)``, so the doubles are those that
+    4 then 8 ``random()`` calls per trial would return, in order, provided
+    the first generator is consumed before the second.
 
-    One ``randbytes`` call draws the 32-bit words, and each pair (a, b) is
-    decoded as ``random()`` decodes it: ((a >> 5)·2²⁶ + (b >> 6))·2⁻⁵³.
+    ``randbytes`` draws each block's 32-bit words, which concatenate exactly
+    across calls of whole words, and each pair (a, b) is decoded as
+    ``random()`` decodes it: ((a >> 5)·2²⁶ + (b >> 6))·2⁻⁵³.
     """
-    a, b = np.frombuffer(random.Random(seed).randbytes(96 * n), "<u4").reshape(-1, 2).T
-    u = ((a >> 5) * 2.0 ** 26 + (b >> 6)) * 2.0 ** -53
-    law, inv = u[:4 * n].reshape(n, 2, 2), u[4 * n:].reshape(n, 8)
-    fields = _uniform(-1.0, 1.0, inv[:, 2:])
-    return _parameter(law), _parameter(inv[:, :2]), fields[:, :3], fields[:, 3:]
+    rng = random.Random(seed)
+
+    def draws(width):
+        for start in range(0, n, du.SCAN_BLOCK):
+            rows = min(du.SCAN_BLOCK, n - start)
+            a, b = np.frombuffer(rng.randbytes(8 * width * rows), "<u4").reshape(-1, 2).T
+            yield (((a >> 5) * 2.0 ** 26 + (b >> 6)) * 2.0 ** -53).reshape(rows, width)
+
+    def invariance():
+        for u in draws(8):
+            fields = _uniform(-1.0, 1.0, u[:, 2:])
+            yield _parameter(u[:, :2]), fields[:, :3], fields[:, 3:]
+
+    return (_parameter(u.reshape(-1, 2, 2)) for u in draws(4)), invariance()
 
 
 # the parameters w of the sample elements, and the one factorized
@@ -180,30 +193,39 @@ _FACTORIZED = 0.5 + 0.5j
 
 
 def _small_group_section(d, k, trials, seed):
-    # all trials are drawn first, then checked one batch per check
-    p_law, p_inv, E, B = _small_group_trials(trials, seed)
-    samples = sg.element(d, _SAMPLES)
-    e1 = sg.element(d, p_law[:, 0])
-    e2 = sg.element(d, p_law[:, 1])
-    e12 = mul(e1, e2)
-    # the samples' residuals come first; np.max, not max or np.fmax: a NaN
-    # residual must reach its check and fail
-    stab = sg.stabilizes(np.concatenate([samples, e1]), k)
-    group_law = float(np.max(sg.group_law_check(d, e12, p_law[:, 0] + p_law[:, 1])))
-    abelian = float(np.max(cabs(e12 - mul(e2, e1))))
+    """The small group's report section: the sample elements with their
+    stabilizer residuals, and the largest residual of each check over the
+    ``trials`` random trials of ``seed``.
 
-    L = sg.element(d, p_inv)
-    invariance = float(np.max(sg.verify_constitutive_invariance(k, L, E, B)))
+    The trials are drawn and checked one block of ``_trial_blocks`` at a
+    time, and each check keeps only its block's ``np.max`` (not max or
+    np.fmax: a NaN residual must reach its check and fail). Every step is
+    elementwise or a reduction within a row, so the maxima have the bits of
+    the whole batch checked at once, and the memory is one block's, plus
+    one maximum per block.
+    """
+    samples = sg.element(d, _SAMPLES)
+    stab = sg.stabilizes(samples, k)
+    stab_max, group_law, abelian = [np.max(stab)], [], []
+    law_blocks, invariance_blocks = _trial_blocks(trials, seed)
+    for p in law_blocks:
+        e1, e2 = sg.element(d, p[:, 0]), sg.element(d, p[:, 1])
+        e12 = mul(e1, e2)
+        stab_max.append(np.max(sg.stabilizes(e1, k)))
+        group_law.append(np.max(sg.group_law_check(d, e12, p[:, 0] + p[:, 1])))
+        abelian.append(np.max(cabs(e12 - mul(e2, e1))))
+    invariance = [np.max(sg.verify_constitutive_invariance(k, sg.element(d, p), E, B))
+                  for p, E, B in invariance_blocks]
 
     return {
         "kind": d.kind,
         "sample_elements": [
             {"parameter": {"w": value}, "element": e, "stabilizer_residual": r}
             for value, e, r in zip(_floats(_SAMPLES), _floats(samples), stab.tolist())],
-        "max_stabilizer_residual": float(np.max(stab)),
-        "group_law_defect": group_law,
-        "abelian_defect": abelian,
-        "max_invariance_residual": invariance,
+        "max_stabilizer_residual": float(np.max(stab_max)),
+        "group_law_defect": float(np.max(group_law)),
+        "abelian_defect": float(np.max(abelian)),
+        "max_invariance_residual": float(np.max(invariance)),
         "nonmember_rotation_residual": checks.nonmember_residual(k),
         "phi": _floats(d.phi),
         "phi_square": _floats(d.square),

@@ -24,8 +24,9 @@ from .algebra import _cmul, cabs
 from .constitutive import _correction
 from .errors import InconsistentInputError
 
-# rows of the scan evaluated at once: each row holds about 500 B of
-# temporaries, so a block bounds the scan's working memory at about 0.25 MiB
+# rows evaluated at once, of the scan and of cli's small-group trials: a
+# scan row holds about 500 B of temporaries, so a block bounds the scan's
+# working memory at about 0.25 MiB, and a trial block's at about 0.5 MiB
 SCAN_BLOCK = 512
 
 # a scanned state must meet the constitutive pair to this bound, times

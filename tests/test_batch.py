@@ -436,10 +436,72 @@ def per_draw_trials(n, seed):
     return [np.array(x) for x in (p_law, p_inv, E, B)]
 
 
+def block_trials(n, seed):
+    """``cli._trial_blocks``' blocks, concatenated in the layout of
+    ``per_draw_trials``."""
+    law_blocks, invariance_blocks = cli._trial_blocks(n, seed)
+    p_law = np.concatenate(list(law_blocks))
+    return [p_law, *(np.concatenate(x) for x in zip(*invariance_blocks))]
+
+
 @pytest.mark.parametrize("seed", [0, 1, 42, 2**31 - 1, 123456789])
 def test_bulk_trials_are_the_per_draw_random_doubles(seed):
-    for n in (1, 2, 3, 7, 2000):
-        for got, want in zip(cli._small_group_trials(n, seed), per_draw_trials(n, seed),
-                             strict=True):
+    b = du.SCAN_BLOCK
+    for n in (1, 2, 3, 7, b - 1, b, b + 1, 2 * b + 1, 2000):
+        for got, want in zip(block_trials(n, seed), per_draw_trials(n, seed), strict=True):
             assert (got.dtype, got.shape) == (want.dtype, want.shape)
             assert_same_bits(got, want)
+
+
+def report_bits(tv, trials):
+    """The repr of ``cli.analyze``'s report, but for ``generated_at``: equal
+    reprs hold the same bits."""
+    report = cli.analyze(tv, "in.yaml", scan_n=360, trials=trials, seed=42)
+    del report["generated_at"]
+    report["duality"]["table"] = report["duality"]["table"].tolist()
+    return repr(report)
+
+
+def rand_vectors(kind):
+    k = RAND_K[kind](np.random.default_rng(11))
+    return nc.ThetaVectors(-k.imag, k.real)
+
+
+@pytest.mark.parametrize("kind", [nc.NONISOTROPIC, nc.ISOTROPIC])
+def test_blocked_trials_match_one_block(kind, monkeypatch):
+    """The small-group trials, checked ``SCAN_BLOCK`` rows at a time, give
+    the report of all of them checked in one block."""
+    tv = rand_vectors(kind)
+    b = du.SCAN_BLOCK
+    blocked = {n: report_bits(tv, n) for n in (b - 1, b, b + 1)}
+    monkeypatch.setattr(du, "SCAN_BLOCK", 4 * b)
+    for n, report in blocked.items():
+        assert report == report_bits(tv, n)
+
+
+@pytest.mark.parametrize("check, row", [
+    ("stabilizes", "max_stabilizer_residual"),
+    ("group_law_check", "group_law_defect"),
+    ("verify_constitutive_invariance", "max_invariance_residual"),
+])
+def test_nan_in_a_later_block_reaches_its_row(check, row, monkeypatch):
+    """A NaN residual in the last row of the last trial block is the row's
+    value, and the report fails."""
+    tv = rand_vectors(nc.NONISOTROPIC)
+    n = 2 * du.SCAN_BLOCK + 3
+    original = getattr(sg, check)
+    blocks = 3 + (check == "stabilizes")   # the samples take one call of their own
+    calls = []
+
+    def nan_in_last_block(*args):
+        out = original(*args)
+        calls.append(len(out))
+        if len(calls) == blocks:
+            out[-1] = np.nan
+        return out
+
+    monkeypatch.setattr(sg, check, nan_in_last_block)
+    report = cli.analyze(tv, "in.yaml", scan_n=360, trials=n, seed=42)
+    assert calls[blocks - 1] == 3   # the last trial block; nonmember_residual calls stabilizes too
+    assert np.isnan(report["small_group"][row])
+    assert report["status"] == "fail"

@@ -358,6 +358,15 @@ def test_scan_memory_bounded_at_the_cap(tmp_path):
     assert traced_peak(analyze_and_write) < SCAN_MEMORY
 
 
+@pytest.mark.parametrize("text", KINDS[:2])
+def test_trial_memory_bounded_at_the_cap(text):
+    """The trials are checked one block at a time: all of them at once
+    took a traced peak of about 83 MiB at the cap."""
+    tv = vectors(text)
+    assert traced_peak(lambda: analyze(tv, "in.yaml", scan_n=360, trials=MAX_COUNT, seed=42)) \
+        < SCAN_MEMORY
+
+
 @pytest.mark.parametrize("text", KINDS)
 def test_analyze_is_pure(tmp_path, monkeypatch, text):
     """``analyze`` opens no file, and ``write_report`` of its report writes

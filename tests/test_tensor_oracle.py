@@ -25,7 +25,7 @@ import pytest
 
 from nced import noncomm as nc
 from nced import smallgroup as sg
-from nced.cli import _FACTORIZED, _small_group_trials, analyze, load_input
+from nced.cli import _FACTORIZED, _trial_blocks, analyze, load_input
 from nced.lorentz import lorentz_matrix4
 from failure_map import ROWS, draw, failures
 from test_acceptance import _boost4, _rodrigues4
@@ -40,6 +40,11 @@ U = np.finfo(float).eps / 2
 # up to 4.4e3·u·|Λ| (nced's lorentz_matrix4 by 7u·|Λ|)
 C = 2.0 ** 14
 TRIALS, SEED = 100, 42
+
+
+def law_trials():
+    """The report's ``TRIALS`` group-law parameter pairs, ``p_law[TRIALS, 2]``."""
+    return np.concatenate(list(_trial_blocks(TRIALS, SEED)[0]))
 
 
 def J(a):
@@ -178,7 +183,7 @@ def fixes(name, lam_, t):
 def test_sample_and_trial_elements_fix_the_tensor(name):
     k, t, report = case(name, "stabilizer")
     samples = [complexes(s["element"]) for s in report["small_group"]["sample_elements"]]
-    p_law = _small_group_trials(TRIALS, SEED)[0]
+    p_law = law_trials()
     trials = sg.element(sg.describe(k), p_law[:, 0])
     for L in [*samples, *trials]:
         assert fixes("stabilizer", lam_of(L), t)
@@ -188,7 +193,7 @@ def test_sample_and_trial_elements_fix_the_tensor(name):
 def test_group_law_holds_as_matrices(name):
     k, _, _ = case(name, "group_law", "abelian")
     d = sg.describe(k)
-    p_law = _small_group_trials(TRIALS, SEED)[0]
+    p_law = law_trials()
     e1, e2 = sg.element(d, p_law[:, 0]), sg.element(d, p_law[:, 1])
     e12 = sg.element(d, p_law[:, 0] + p_law[:, 1])
     for a, b, ab in zip(e1, e2, e12):
