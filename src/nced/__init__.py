@@ -7,7 +7,7 @@ leaves numpy's BLAS threading to the caller, and the CLI can choose it before
 numpy loads.
 """
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 # the one kernel implementation: batch-first numpy. No module here reads it; it
 # stays for perfbench's environment probe and tests/test_batch.py.

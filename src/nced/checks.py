@@ -6,11 +6,10 @@ Every pass bound of a report row is written here. ``scale`` is
 max(1, max|K_i|): the rounding error of a residual formed from K grows with
 K, and a K smaller than one is held to the bounds of a K of size one.
 
-Four thresholds are not row bounds and live beside the code they guard:
+Three thresholds are not row bounds and live beside the code they guard:
 ``noncomm.CLASSIFY_TOL`` (the classification), the relative 1e-12
-antisymmetry bound of ``noncomm.vectors_from_tensor`` (the input), the
-absolute 1e-12 of ``smallgroup._orthonormal_rows`` and the duality scan's
-precondition ``duality.CONSISTENCY_TOL``.
+antisymmetry bound of ``noncomm.vectors_from_tensor`` (the input) and the
+duality scan's precondition ``duality.CONSISTENCY_TOL``.
 """
 
 import numpy as np

@@ -280,8 +280,9 @@ def _factorization_section(d):
 
 def _duality_section(k, scan_n):
     f = ct.f_vector(du.GENERIC_E, du.GENERIC_B)
-    h = ct.h_from_f(f, k)
-    state = du.gr_from_fh(f, h)
+    # R = f - h_from_f(f, K) without h's rounding at ulp(|f|), which hides |K|^2
+    R = ct._correction(f, k)
+    state = du.GRState(2.0 * f - R, R)
     chis, residuals = du.duality_scan(state, k, scan_n)
     rotated, k_rot = du.dual_rotate(state, k, np.arange(4) * np.pi / 2.0)
 

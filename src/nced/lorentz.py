@@ -4,7 +4,8 @@ Elements are length-4 complex arrays with ``norm(L) = 1``.  Real elements are
 spatial rotations; elements with real scalar and imaginary vector part are
 boosts.  Every one-parameter family is ``exp(w, axis)``, and its parameter is
 a half-angle: on a unit real axis ``exp(chi, n)`` rotates by ``2*chi`` and
-``exp(1j*beta, n)`` has rapidity ``2*beta``.  Elements are unit by
+``exp(1j*beta, n)`` has rapidity ``2*beta``; at ``w = pi/2`` and ``n.n = 1``
+it is ``n`` itself, the half-turn about ``conj(n)``.  Elements are unit by
 construction; none is renormalized, and the report rows check them.
 
 Convention notes (fixed here once, used consistently everywhere):
@@ -136,24 +137,3 @@ def factorize(L):
     bst_clean = alg.quat(bst[0].real, 1j * bst[1:].imag)
     return rot, bst_clean
 
-
-def element_from_rotation_matrix(r):
-    """Real unit biquaternion whose action matrix equals ``r`` (Shepperd's
-    method); ``r`` must be real orthogonal of determinant 1, and is unchecked."""
-    r = np.asarray(r, float)
-    t = np.trace(r)
-    if t > 0:
-        w = 0.5 * np.sqrt(1.0 + t)
-        x = (r[2, 1] - r[1, 2]) / (4.0 * w)
-        y = (r[0, 2] - r[2, 0]) / (4.0 * w)
-        z = (r[1, 0] - r[0, 1]) / (4.0 * w)
-        return alg.quat(w, (x, y, z))
-    # the largest diagonal entry i, with (i, j, k) cyclic
-    i = int(np.argmax(np.diag(r)))
-    j, k = (i + 1) % 3, (i + 2) % 3
-    d = -np.diag(r)
-    d[i] = r[i, i]
-    s = 2.0 * np.sqrt(1.0 + d[0] + d[1] + d[2])
-    v = np.empty(3)
-    v[[i, j, k]] = 0.25 * s, (r[i, j] + r[j, i]) / s, (r[k, i] + r[i, k]) / s
-    return alg.quat((r[k, j] - r[j, k]) / s, v)

@@ -8,7 +8,8 @@ a power of two, exactly, so that it is of size one; the real and imaginary
 parts of the one complex parameter ``w`` generate a rotation and a boost
 about the same (generally complex) axis.
 
-One ``canonical_form`` serves any non-null K, of either kind.
+One ``canonical_form`` serves any non-null K, of either kind: it is a
+half-turn, times a z-boost for an isotropic K.
 """
 
 from typing import NamedTuple
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import lorentz
 from . import noncomm
-from .algebra import cabs, ccross, cdot, mul, quat
+from .algebra import E2, cabs, cdot, mul, quat
 from .constitutive import f_vector, h_from_f
 from .errors import ZeroKError
 
@@ -76,45 +77,33 @@ def verify_constitutive_invariance(k, L, E, B):
     return np.max(cabs(h_from_f(fp, k) - hp), axis=-1)
 
 
-def _orthonormal_rows(r1, r2):
-    """Rows r1/|r1|, the unit part of r2 orthogonal to it, and their cross
-    product; None when that orthogonal part is shorter than 1e-12."""
-    r1 = r1 / np.sqrt(cdot(r1, r1).real)
-    r2 = r2 - cdot(r2, r1).real * r1
-    n2 = np.sqrt(cdot(r2, r2).real)
-    if n2 < 1e-12:
-        return None
-    r2 = r2 / n2
-    return np.vstack([r1, r2, ccross(r1, r2).real])
-
-
 def canonical_form(k):
     """Lorentz element carrying a non-null K to its canonical frame; returns
     (L, transported K).
 
-    A nonisotropic K lands on sqrt(K.K) times the x axis, an isotropic one on
-    the reference null vector (1, i, 0). L is a unit z-boost times a unit
-    rotation, so its norm defect is rounding of that product alone and it is
-    not renormalized.
+    The target t is sqrt(K.K) (principal root) times the x axis for a
+    nonisotropic K, and 2^e (1, i, 0), at K's power of two, for an isotropic
+    one, which a z-boost then takes to (1, i, 0). As t.t = K.K, the half-turn
+    about c = K + t, the pure unit vector c / sqrt(c.c), carries K to t; where
+    |c.c| is larger, the one about K + t', t' = diag(-1, 1, -1) t, does so
+    followed by the half-turn about y. Then |c.c| >= 2|K.K|, or |K|^2 / 2 for
+    a null K: the axis is never degenerate. L is not renormalized.
     """
     k = np.asarray(k, np.complex128)
-    phi = noncomm.phi_from_k(k)
-    if describe(k).kind == noncomm.NONISOTROPIC:
-        phi_hat = phi / np.sqrt(cdot(phi, phi))
-        n, m = phi_hat.real, phi_hat.imag
-        rot, b = _orthonormal_rows(n, m), np.sqrt(cdot(m, m).real)
-        if rot is None:   # Im phi_hat too short to orient a frame: the axis is real
-            rot, b = _orthonormal_rows(n, np.eye(3)[np.argmin(np.abs(n))]), 0.0
-        # null the imaginary part: after rotating (n -> a x, m -> b y), a boost along z
-        # with sinh(2 beta) = -b, cosh(2 beta) = a = sqrt(1 + b^2) lands the axis on x
-        ch = np.sqrt(0.5 * (np.sqrt(1.0 + b * b) + 1.0))
-        sh = -0.5 * b / ch
+    isotropic = describe(k).kind == noncomm.ISOTROPIC
+    if isotropic:
+        t = np.ldexp(1.0, np.frexp(np.max(cabs(k)))[1]) * np.array([1.0, 1.0j, 0.0])
     else:
-        p, q = phi.real, phi.imag
-        rot = _orthonormal_rows(p, -q)
-        # a z-boost scales the null transverse vector (1, i, 0) by exp(-2 beta)
-        e = np.sqrt(np.sqrt(cdot(p, p).real))
-        ch, sh = 0.5 * (e + 1.0 / e), 0.5 * (e - 1.0 / e)
-    # square roots, not numpy's cosh, sinh, arctanh or log: their AVX-512 loops round differently
-    L = mul(quat(ch, (0.0, 0.0, 1j * sh)), lorentz.element_from_rotation_matrix(rot))
+        t = np.array([np.sqrt(cdot(k, k)), 0.0, 0.0])
+    c, c_flip = k + t, k + np.array([-1.0, 1.0, -1.0]) * t
+    flip = cabs(cdot(c_flip, c_flip)) > cabs(cdot(c, c))
+    c = c_flip if flip else c
+    # act_vector sandwiches by the componentwise conjugate
+    L = quat(0.0, np.conj(c / np.sqrt(cdot(c, c))))
+    L = mul(E2, L) if flip else L
+    if isotropic:
+        # scales (1, i, 0) by 1/r^2 = 2^-e; square roots, not numpy's cosh or
+        # sinh, whose AVX-512 loops round differently
+        r = np.sqrt(t[0].real)
+        L = mul(quat(0.5 * (r + 1.0 / r), (0.0, 0.0, 0.5j * (r - 1.0 / r))), L)
     return L, lorentz.act_vector(L, k)

@@ -252,12 +252,14 @@ def test_numeric_strings_still_accepted(tmp_path):
     ("3e-13, 0, 3e-13", "0, 2, 0"),
 ])
 def test_canonical_form_of_nearly_real_axis(tmp_path, eps, theta):
-    """An axis whose imaginary part is too short to span a frame, but
-    above the old 1e-13 shortcut, takes a pure rotation onto x."""
-    code, rep = run(tmp_path, f"epsilon: [{eps}]\ntheta: [{theta}]\n")
+    """An axis whose imaginary part is far too short to span a real frame
+    takes the one half-turn of every K, and lands on the x axis to far
+    below rounding of its size."""
+    text = f"epsilon: [{eps}]\ntheta: [{theta}]\n"
+    code, rep = run(tmp_path, text)
     assert code == 0
-    element = yaml.safe_load(rep.read_text())["canonical_form"]["element"]
-    assert all(im == 0.0 for _, im in element)
+    scale = max(1.0, np.max(np.abs(nc.k_from_vectors(vectors(text)))))
+    assert yaml.safe_load(rep.read_text())["canonical_form"]["reduction_residual"] <= 1e-20 * scale
 
 
 @pytest.mark.parametrize("field", ["trials", "scan_n"])

@@ -48,21 +48,6 @@ def test_rotation_and_boost_norm_defect_is_rounding():
         assert abs(alg.norm(lo.exp(1j * beta, n)) - 1.0) <= 8 * EPS * size
 
 
-@pytest.mark.parametrize("angle", [0.3, 2.0, 3.0])
-@pytest.mark.parametrize("axis", [0, 1, 2])
-def test_element_from_rotation_matrix_is_unit_as_built(axis, angle):
-    # angles past 2*pi/3 make the trace negative, so Shepperd's method takes
-    # the branch of the largest diagonal entry, which is the rotation axis
-    n = np.eye(3)[axis] + 0.05 * np.array([1.0, -1.0, 0.5])
-    q = lo.exp(angle / 2, n / np.linalg.norm(n))
-    r = lo.so3c_entries(q).real
-    q2 = lo.element_from_rotation_matrix(r)
-    assert np.all(q2.imag == 0.0)
-    assert abs(alg.norm(q2) - 1.0) <= 16 * EPS
-    sign = 1.0 if np.abs(q2 - q).max() < np.abs(q2 + q).max() else -1.0
-    assert np.max(np.abs(sign * q2 - q)) <= 1e-14
-
-
 def exp_grid():
     """exp over real, imaginary and complex w, on the lab axes, on random
     unit real axes and on the stabilizer directions of the golden inputs."""
@@ -334,62 +319,3 @@ def test_factorize_large_isotropic_elements(size):
         phi = nc.phi_from_k(rand_isotropic_k(rng, (size, size)))
         rot, bst = lo.factorize(alg.quat(1.0, phi))
         assert np.all(np.isfinite(rot)) and np.all(np.isfinite(bst))
-
-
-def test_element_from_rotation_matrix_roundtrip():
-    rng = np.random.default_rng(15)
-    for _ in range(50):
-        q = rand_rotation(rng)
-        r = lo.so3c_entries(q).real
-        q2 = lo.element_from_rotation_matrix(r)
-        sign = 1.0 if np.abs(q2 - q).max() < np.abs(q2 + q).max() else -1.0
-        assert np.max(np.abs(sign * q2 - q)) <= 1e-12
-
-
-def shepperd_four_branches(r):
-    """Shepperd's method with one hand-permuted branch per diagonal entry,
-    and the branch it took: 0 for the trace, 1 + i for diagonal entry i."""
-    t = np.trace(r)
-    if t > 0:
-        w = 0.5 * np.sqrt(1.0 + t)
-        x = (r[2, 1] - r[1, 2]) / (4.0 * w)
-        y = (r[0, 2] - r[2, 0]) / (4.0 * w)
-        z = (r[1, 0] - r[0, 1]) / (4.0 * w)
-        return alg.quat(w, (x, y, z)), 0
-    i = int(np.argmax(np.diag(r)))
-    if i == 0:
-        s = 2.0 * np.sqrt(1.0 + r[0, 0] - r[1, 1] - r[2, 2])
-        w = (r[2, 1] - r[1, 2]) / s
-        x = 0.25 * s
-        y = (r[0, 1] + r[1, 0]) / s
-        z = (r[0, 2] + r[2, 0]) / s
-    elif i == 1:
-        s = 2.0 * np.sqrt(1.0 - r[0, 0] + r[1, 1] - r[2, 2])
-        w = (r[0, 2] - r[2, 0]) / s
-        x = (r[0, 1] + r[1, 0]) / s
-        y = 0.25 * s
-        z = (r[1, 2] + r[2, 1]) / s
-    else:
-        s = 2.0 * np.sqrt(1.0 - r[0, 0] - r[1, 1] + r[2, 2])
-        w = (r[1, 0] - r[0, 1]) / s
-        x = (r[0, 2] + r[2, 0]) / s
-        y = (r[1, 2] + r[2, 1]) / s
-        z = 0.25 * s
-    return alg.quat(w, (x, y, z)), 1 + i
-
-
-def test_element_from_rotation_matrix_matches_four_branch_reference():
-    # one diagonal branch for the largest entry gives the bits of three
-    # hand-permuted ones
-    rng = np.random.default_rng(25)
-    matrices = [lo.so3c_entries(rand_rotation(rng)).real for _ in range(2000)]
-    # half-turns about each axis, and one whose two largest diagonal entries
-    # tie: the half-turn about (1, 1, 0)/sqrt(2)
-    matrices += [np.diag(d) for d in ([1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0])]
-    matrices.append(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]]))
-    runs = np.zeros(4, int)
-    for r in matrices:
-        want, branch = shepperd_four_branches(r)
-        runs[branch] += 1
-        assert lo.element_from_rotation_matrix(r).tobytes() == want.tobytes()
-    assert np.all(runs >= 100), runs

@@ -1,7 +1,7 @@
 """Property: every valid input, in vector or matrix form, gets a report, the
 report passes exactly when each of its checks does, and a check whose report
 values are not all finite fails. And the small group of 2^j K is the small
-group of K, bit for bit.
+group of K, bit for bit, as is a nonisotropic K's canonical element.
 
 Inputs are drawn across |K| from 1e-12 to 1e50, on the isotropic cone and in
 the band beside it that is classified isotropic although K is not null, and
@@ -18,7 +18,7 @@ from nced import smallgroup as sg
 from conftest import rand_isotropic_k
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 MAGNITUDES = st.floats(-12.0, 50.0).map(lambda e: 10.0 ** e)
 SIGNS = st.sampled_from([-1.0, 1.0])
@@ -116,12 +116,12 @@ def test_every_valid_input_gets_a_report_that_passes_when_its_checks_do(doc):
 
 
 @st.composite
-def unit_size_k(draw):
+def unit_size_k(draw, on_cone=st.booleans()):
     """K of size about one: on the isotropic cone, s (p + i q), or off it,
     s p + i t (cos c q + sin c p), with p ⟂ q real unit vectors."""
     p, q = draw(orthonormal_pair())
     s = draw(st.floats(0.5, 2.0))
-    if draw(st.booleans()):
+    if draw(on_cone):
         return s * (p + 1j * q)
     c = draw(ANGLES)
     return s * p + 1j * draw(st.floats(0.0, 2.0)) * (np.cos(c) * q + np.sin(c) * p)
@@ -144,3 +144,18 @@ def test_power_of_two_scaling_keeps_the_small_group_bits(k, j, w):
     assert np.complex128(d2.square).tobytes() == np.complex128(d.square).tobytes()
     L = sg.element(d, np.array(w))
     assert sg.stabilizes(L, k2).tobytes() == np.ldexp(sg.stabilizes(L, k), j).tobytes()
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(unit_size_k(on_cone=st.just(False)), st.integers(-25, 480))
+def test_power_of_two_scaling_keeps_the_canonical_bits(k, j):
+    """For a nonisotropic K, canonical_form(2^j K) has the element of
+    canonical_form(K), bit for bit, and 2^j times its canonical vector: the
+    target sqrt(K.K) x and the half-turn's axis scale exactly, as long as
+    no product of two parts of K underflows at either scale."""
+    parts = np.abs(k.view(float))
+    assume(nc.classify(k) == nc.NONISOTROPIC and np.all((parts == 0) | (parts >= 2.0 ** -400)))
+    L, k_can = sg.canonical_form(k)
+    L2, k2_can = sg.canonical_form(np.ldexp(1.0, j) * k)
+    assert L2.tobytes() == L.tobytes()
+    assert k2_can.tobytes() == np.ldexp(k_can.view(float), j).view(np.complex128).tobytes()

@@ -218,9 +218,11 @@ def test_stabilizer_candidates_have_aligned_vector_part():
 # canonical forms
 
 
-@pytest.mark.parametrize("axis", [(0, 0, 2.0), (1.0, 0, 0), (0, -3.0, 0), (1.0, 2.0, -2.0)])
+@pytest.mark.parametrize("axis", [(0, 0, 2.0), (1.0, 0, 0), (0, -3.0, 0), (1.0, 2.0, -2.0),
+                                  (-2.0, 0, 0)])
 def test_canonical_form_already_real(axis):
-    # a real axis needs no boost, only the rotation that carries it onto x
+    # a real axis is carried onto x by a real half-turn; (-2, 0, 0) is
+    # antiparallel to its target, so it takes the y-flip branch
     k = np.array(axis, complex)
     L, k_can = sg.canonical_form(k)
     assert np.all(L.imag == 0.0)
@@ -237,13 +239,13 @@ def test_canonical_form_explicit_pair():
 
 
 def test_canonical_form_random():
-    # K lands on sqrt(K.K) times the x axis, for one of the two roots
+    # K lands on the principal sqrt(K.K) times the x axis
     rng = np.random.default_rng(11)
     for _ in range(100):
         k = rand_nonisotropic_k(rng)
         L, k_can = sg.canonical_form(k)
         assert np.max(np.abs(k_can[1:])) <= 1e-15 * np.max(np.abs(k)) * lo.abs2(L)
-        assert min(abs(k_can[0] - r) for r in (np.sqrt(k @ k), -np.sqrt(k @ k))) <= 1e-14
+        assert abs(k_can[0] - np.sqrt(k @ k)) <= 1e-14
         assert abs(k_can @ k_can - k @ k) <= 1e-12 * max(1.0, abs(k @ k)) * lo.abs2(L) ** 2
 
 
@@ -282,9 +284,10 @@ def nearly_real_k(rng, r):
 @pytest.mark.parametrize("kind", ["isotropic", "nonisotropic", "near-isotropic",
                                   "nearly-real"])
 def test_canonical_element_norm_defect_is_rounding(kind):
-    # a unit rotation times a unit boost: the product's norm defect is its
-    # own rounding, so canonical_form need not renormalize it (worst seen 6);
-    # nearly-real K orients the rotation's frame by a tiny Im phi_hat
+    # a half-turn, unit up to the rounding of c.c, times a unit z-boost for
+    # an isotropic K: the norm defect is its own rounding, so canonical_form
+    # need not renormalize it (worst seen 6); a nearly-real K has |epsilon|
+    # from 1e-16 to 1e-4 of |theta|
     rng = np.random.default_rng(16)
     u = np.finfo(float).eps / 2
     for m in np.logspace(-8, 8, 17):

@@ -77,7 +77,7 @@ for name in {SUBMODULES!r}:
     found.append(sub is sys.modules[f"nced.{{name}}"])
 print(json.dumps([state, found]))
 """)
-    assert got == [[["BACKEND"], "0.5.0", False], [True] * len(SUBMODULES)]
+    assert got == [[["BACKEND"], "0.6.0", False], [True] * len(SUBMODULES)]
 
 
 def test_importtime_lists_every_module_the_cli_imports():

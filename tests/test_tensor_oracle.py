@@ -14,7 +14,9 @@ Inputs: the three golden inputs, and from each row of ``failure_map`` the
 first of its draws whose report passes, or its first draw where none does.
 A row is checked on every input whose report passes it: a row that says
 true must hold in the tensor picture. The zero input has no small group,
-canonical form or factorization, which is checked as well.
+canonical form or factorization, which is checked as well. The canonical
+row also takes K = -2x and K = 3 (1, i, 0), where ``canonical_form`` turns
+about K + t' and then about y, for each kind.
 """
 
 import functools
@@ -111,6 +113,10 @@ def complexes(pairs):
 
 GOLDEN_IDS = ["golden-nonisotropic", "golden-isotropic", "golden-zero"]
 MAP_IDS = [f"{family}-{size:g}" for family, size in ROWS]
+# the y-flip branch of canonical_form, one input per kind: K = -2x and
+# K = theta - i epsilon = 3 (1, i, 0)
+FLIPPED = {"flip-nonisotropic": nc.ThetaVectors(np.zeros(3), np.array([-2.0, 0.0, 0.0])),
+           "flip-isotropic": nc.ThetaVectors(np.array([0.0, -3.0, 0.0]), np.array([3.0, 0.0, 0.0]))}
 
 
 @functools.cache
@@ -124,6 +130,8 @@ def inputs():
     for name, (family, size_) in zip(MAP_IDS, ROWS):
         draws = [draw(family, size_, rng) for _ in range(20)]
         tv = next((tv for tv in draws if not failures(tv)), draws[0])
+        out[name] = tv, analyze(tv, "x", 360, TRIALS, SEED)
+    for name, tv in FLIPPED.items():
         out[name] = tv, analyze(tv, "x", 360, TRIALS, SEED)
     return out
 
@@ -204,7 +212,7 @@ def test_group_law_holds_as_matrices(name):
         assert within("abelian", np.max(np.abs(la @ lb - lb @ la)), bound)
 
 
-@pytest.mark.parametrize("name", NONZERO)
+@pytest.mark.parametrize("name", NONZERO + list(FLIPPED))
 def test_canonical_element_reaches_the_canonical_tensor(name):
     """Nonisotropic: T′ = ΛTΛᵀ vanishes apart from its (0, 1) and (2, 3)
     pairs, so ε′ and θ′ lie along x. Isotropic: T′ is the reference null
