@@ -57,13 +57,6 @@ def cabs(z):
     return np.hypot(z.real, z.imag)
 
 
-def _components(q):
-    """The components along the last axis: numpy scalars for one element,
-    arrays over the leading axes for a batch."""
-    q = np.asarray(q, np.complex128)
-    return tuple(q.transpose(-1, *range(q.ndim - 1)))
-
-
 def cdot(a, b):
     """Complex-bilinear dot product ``(a0 b0 + a1 b1) + a2 b2`` of 3-vectors."""
     p = _cmul(np.asarray(a, np.complex128), np.asarray(b, np.complex128))
@@ -108,5 +101,5 @@ def conj_components(q):
 
 def norm(q):
     """Bilinear square q qbar = q0^2 + q.q (a complex number, not a length)."""
-    q0, q1, q2, q3 = _components(q)
+    q0, q1, q2, q3 = np.moveaxis(np.asarray(q, np.complex128), -1, 0)
     return _cmul(q0, q0) + _cmul(q1, q1) + _cmul(q2, q2) + _cmul(q3, q3)

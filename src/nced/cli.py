@@ -14,9 +14,9 @@ Exit codes: 0 all checks pass (or the zero-input note), 1 a physics check
 failed, 2 malformed input (including non-finite or boolean entries, an
 |K|^2 that overflows a float, ``--trials`` or ``--scan-n`` above
 ``MAX_COUNT``, a negative ``--seed``, a ``--report`` or ``--csv`` path that
-cannot be written, an input file that is not valid UTF-8 or UTF-16, an
-input nested too deeply for the parser, a top-level key other than the three
-above, and unknown options).
+cannot be written or that names the input or the other output, an input
+file that is not valid UTF-8 or UTF-16, an input nested too deeply for the
+parser, a top-level key other than the three above, and unknown options).
 
 The sections below only compute report values; every pass bound of a report
 row lives in ``nced.checks``, whose docstring names the thresholds outside it.
@@ -76,7 +76,7 @@ _NON_FINITE = {"nan": ".nan", "inf": ".inf", "-inf": "-.inf"}
 
 def _yaml_float(x):
     """``x`` as PyYAML's ``SafeRepresenter.represent_float`` writes it."""
-    text = repr(x).lower()
+    text = repr(x)
     if text in _NON_FINITE:
         return _NON_FINITE[text]
     # a plain float needs a dot: PyYAML writes 1e+16 as 1.0e+16
@@ -151,40 +151,23 @@ def _theta_vectors(doc):
 # ---------------------------------------------------------------------------
 # analysis sections
 
-def _uniform(lo, hi, u):
-    return lo + (hi - lo) * u
-
-
-def _parameter(u):
-    return _uniform(-1.4, 1.4, u[..., 0]) + 1j * _uniform(-1.4, 1.4, u[..., 1])
-
-
-def _trial_blocks(n, seed):
-    """The small-group trials of ``seed`` as two generators of blocks of at
-    most ``du.SCAN_BLOCK`` rows: the group-law parameter pairs ``p_law[rows,
-    2]`` of ``n`` trials in all, then the invariance trials ``(p, E, B)``.
-    Both draw from one ``random.Random(seed)``, so the doubles are those that
-    4 then 8 ``random()`` calls per trial would return, in order, provided
-    the first generator is consumed before the second.
+def _draws(rng, n, width):
+    """``n`` rows of ``width`` doubles from ``rng``, in blocks of at most
+    ``du.SCAN_BLOCK`` rows: the doubles that ``width`` ``random()`` calls per
+    row would return, in order.
 
     ``randbytes`` draws each block's 32-bit words, which concatenate exactly
     across calls of whole words, and each pair (a, b) is decoded as
     ``random()`` decodes it: ((a >> 5)·2²⁶ + (b >> 6))·2⁻⁵³.
     """
-    rng = random.Random(seed)
+    for start in range(0, n, du.SCAN_BLOCK):
+        rows = min(du.SCAN_BLOCK, n - start)
+        a, b = np.frombuffer(rng.randbytes(8 * width * rows), "<u4").reshape(-1, 2).T
+        yield (((a >> 5) * 2.0 ** 26 + (b >> 6)) * 2.0 ** -53).reshape(rows, width)
 
-    def draws(width):
-        for start in range(0, n, du.SCAN_BLOCK):
-            rows = min(du.SCAN_BLOCK, n - start)
-            a, b = np.frombuffer(rng.randbytes(8 * width * rows), "<u4").reshape(-1, 2).T
-            yield (((a >> 5) * 2.0 ** 26 + (b >> 6)) * 2.0 ** -53).reshape(rows, width)
 
-    def invariance():
-        for u in draws(8):
-            fields = _uniform(-1.0, 1.0, u[:, 2:])
-            yield _parameter(u[:, :2]), fields[:, :3], fields[:, 3:]
-
-    return (_parameter(u.reshape(-1, 2, 2)) for u in draws(4)), invariance()
+def _parameter(u):
+    return (-1.4 + 2.8 * u[..., 0]) + 1j * (-1.4 + 2.8 * u[..., 1])
 
 
 # the parameters w of the sample elements, and the one factorized
@@ -197,25 +180,30 @@ def _small_group_section(d, k, trials, seed):
     stabilizer residuals, and the largest residual of each check over the
     ``trials`` random trials of ``seed``.
 
-    The trials are drawn and checked one block of ``_trial_blocks`` at a
-    time, and each check keeps only its block's ``np.max`` (not max or
-    np.fmax: a NaN residual must reach its check and fail). Every step is
-    elementwise or a reduction within a row, so the maxima have the bits of
-    the whole batch checked at once, and the memory is one block's, plus
-    one maximum per block.
+    The trials come from one ``random.Random`` seeded with ``seed``, in
+    program order: the group-law rows (p₁, p₂), then the invariance rows
+    (p, E, B). They are drawn and checked one block of ``_draws`` at a time,
+    and each check keeps only its block's ``np.max`` (not max or np.fmax: a
+    NaN residual must reach its check and fail). Every step is elementwise
+    or a reduction within a row, so the maxima have the bits of the whole
+    batch checked at once, and the memory is one block's, plus one maximum
+    per block.
     """
     samples = sg.element(d, _SAMPLES)
     stab = sg.stabilizes(samples, k)
     stab_max, group_law, abelian = [np.max(stab)], [], []
-    law_blocks, invariance_blocks = _trial_blocks(trials, seed)
-    for p in law_blocks:
+    rng = random.Random(seed)
+    for u in _draws(rng, trials, 4):
+        p = _parameter(u.reshape(-1, 2, 2))
         e1, e2 = sg.element(d, p[:, 0]), sg.element(d, p[:, 1])
         e12 = mul(e1, e2)
         stab_max.append(np.max(sg.stabilizes(e1, k)))
         group_law.append(np.max(sg.group_law_check(d, e12, p[:, 0] + p[:, 1])))
         abelian.append(np.max(cabs(e12 - mul(e2, e1))))
-    invariance = [np.max(sg.verify_constitutive_invariance(k, sg.element(d, p), E, B))
-                  for p, E, B in invariance_blocks]
+    invariance = []
+    for u in _draws(rng, trials, 8):
+        L, E, B = sg.element(d, _parameter(u)), -1.0 + 2.0 * u[:, 2:5], -1.0 + 2.0 * u[:, 5:]
+        invariance.append(np.max(sg.verify_constitutive_invariance(k, L, E, B)))
 
     return {
         "kind": d.kind,
@@ -407,6 +395,9 @@ def run_analysis(args):
     analyze it, write ``args.report`` and, if given, ``args.csv``. Returns
     (report, exit code): 0 when the report passes, 1 when a check fails.
     """
+    paths = [os.path.realpath(p) for p in (args.input, args.report, args.csv) if p]
+    if len(set(paths)) < len(paths):
+        raise InputFormatError("--input, --report and --csv must name different files")
     report = analyze(load_input(args.input), args.input, args.scan_n, args.trials, args.seed)
     write_report(report, args.report)
     if args.csv:

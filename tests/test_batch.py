@@ -437,11 +437,13 @@ def per_draw_trials(n, seed):
 
 
 def block_trials(n, seed):
-    """``cli._trial_blocks``' blocks, concatenated in the layout of
+    """The trials as ``cli._small_group_section`` draws them, from one
+    ``random.Random(seed)`` through ``cli._draws``, in the layout of
     ``per_draw_trials``."""
-    law_blocks, invariance_blocks = cli._trial_blocks(n, seed)
-    p_law = np.concatenate(list(law_blocks))
-    return [p_law, *(np.concatenate(x) for x in zip(*invariance_blocks))]
+    rng = random.Random(seed)
+    p_law = np.concatenate([cli._parameter(u.reshape(-1, 2, 2)) for u in cli._draws(rng, n, 4)])
+    u = np.concatenate(list(cli._draws(rng, n, 8)))
+    return [p_law, cli._parameter(u), -1.0 + 2.0 * u[:, 2:5], -1.0 + 2.0 * u[:, 5:]]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 42, 2**31 - 1, 123456789])

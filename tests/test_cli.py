@@ -390,8 +390,8 @@ def test_analyze_is_pure(tmp_path, monkeypatch, text):
 
 
 def test_yaml_float_matches_pyyaml():
-    special = [0.0, -0.0, 1e16, 1e17, 1e-05, 5e-324, 1.2345678901234568e+17,
-               float("nan"), float("inf"), float("-inf")]
+    special = [0.0, -0.0, 1e16, 1e17, 1e-05, -1e-05, -1e+16, 5e-324, -5e-324,
+               1.2345678901234568e+17, float("nan"), float("inf"), float("-inf")]
     bits = np.random.default_rng(0).integers(0, 2**64, size=100_000, dtype=np.uint64)
     values = special + bits.view(np.float64).tolist()
     expected = yaml.dump(values, Dumper=yaml.SafeDumper).splitlines()
@@ -407,6 +407,24 @@ def test_unwritable_output_exit_2(tmp_path, capsys, output, name):
                  "--csv", paths["csv"], "--trials", "5"])
     assert code == 2
     assert f"input error: cannot write {name}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("report, csv", [("in.yaml", None), ("out.yaml", "in.yaml"),
+                                         ("out.yaml", "out.yaml"), ("alias.yaml", None)])
+def test_output_naming_another_file_exit_2(tmp_path, capsys, monkeypatch, report, csv):
+    # relative names and a symbolic link, so that the three are compared as
+    # resolved absolute paths
+    monkeypatch.chdir(tmp_path)
+    text = b"epsilon: [0, 0, 0]\ntheta: [0, 0, 1]\n"
+    (tmp_path / "in.yaml").write_bytes(text)
+    (tmp_path / "alias.yaml").symlink_to("in.yaml")
+    argv = ["analyze", "--input", str(tmp_path / "in.yaml"), "--report", report, "--trials", "5"]
+    code = main(argv + (["--csv", csv] if csv else []))
+    assert code == 2
+    assert "input error: --input, --report and --csv must name different files" in \
+        capsys.readouterr().err
+    assert (tmp_path / "in.yaml").read_bytes() == text
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["alias.yaml", "in.yaml"]
 
 
 def test_negative_seed_exit_2(tmp_path, capsys):

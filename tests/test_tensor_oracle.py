@@ -20,6 +20,7 @@ about K + t' and then about y, for each kind.
 """
 
 import functools
+import random
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ import pytest
 
 from nced import noncomm as nc
 from nced import smallgroup as sg
-from nced.cli import _FACTORIZED, _trial_blocks, analyze, load_input
+from nced.cli import _FACTORIZED, _draws, _parameter, analyze, load_input
 from nced.lorentz import lorentz_matrix4
 from failure_map import ROWS, draw, failures
 from test_acceptance import _boost4, _rodrigues4
@@ -45,8 +46,10 @@ TRIALS, SEED = 100, 42
 
 
 def law_trials():
-    """The report's ``TRIALS`` group-law parameter pairs, ``p_law[TRIALS, 2]``."""
-    return np.concatenate(list(_trial_blocks(TRIALS, SEED)[0]))
+    """The report's ``TRIALS`` group-law parameter pairs, ``p_law[TRIALS, 2]``:
+    the first draws of ``random.Random(SEED)``."""
+    blocks = _draws(random.Random(SEED), TRIALS, 4)
+    return np.concatenate([_parameter(u.reshape(-1, 2, 2)) for u in blocks])
 
 
 def J(a):
