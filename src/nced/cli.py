@@ -11,12 +11,12 @@ Input file (YAML): either a 4x4 ``theta_matrix`` or a pair of 3-vectors
 ``epsilon`` / ``theta`` (mutually exclusive).
 
 Exit codes: 0 all checks pass (or the zero-input note), 1 a physics check
-failed, 2 malformed input (including non-finite or boolean entries, an
-|K|^2 that overflows a float, ``--trials`` or ``--scan-n`` above
-``MAX_COUNT``, a negative ``--seed``, a ``--report`` or ``--csv`` path that
-cannot be written or that names the input or the other output, an input
-file that is not valid UTF-8 or UTF-16, an input nested too deeply for the
-parser, a top-level key other than the three above, and unknown options).
+failed, 2 malformed input (including non-finite or boolean entries, an |K|^2
+that overflows a float, ``--trials`` or ``--scan-n`` above ``MAX_COUNT``, a
+negative ``--seed``, a ``--report`` or ``--csv`` path that cannot be written or
+that names the input or the other output, also by a symbolic or hard link, an
+input file that is not valid UTF-8 or UTF-16, an input nested too deeply for
+the parser, a top-level key other than the three above, and unknown options).
 
 The sections below only compute report values; every pass bound of a report
 row lives in ``nced.checks``, whose docstring names the thresholds outside it.
@@ -267,10 +267,7 @@ def _factorization_section(d):
 
 
 def _duality_section(k, scan_n):
-    f = ct.f_vector(du.GENERIC_E, du.GENERIC_B)
-    # R = f - h_from_f(f, K) without h's rounding at ulp(|f|), which hides |K|^2
-    R = ct._correction(f, k)
-    state = du.GRState(2.0 * f - R, R)
+    state = du.state(ct.f_vector(du.GENERIC_E, du.GENERIC_B), k)
     chis, residuals = du.duality_scan(state, k, scan_n)
     rotated, k_rot = du.dual_rotate(state, k, np.arange(4) * np.pi / 2.0)
 
@@ -396,7 +393,9 @@ def run_analysis(args):
     (report, exit code): 0 when the report passes, 1 when a check fails.
     """
     paths = [os.path.realpath(p) for p in (args.input, args.report, args.csv) if p]
-    if len(set(paths)) < len(paths):
+    # an existing path by its file's (st_ino, st_dev), which each hard link shares
+    ids = [os.stat(p)[1:3] if os.path.exists(p) else p for p in paths]
+    if len(set(ids)) < len(ids):
         raise InputFormatError("--input, --report and --csv must name different files")
     report = analyze(load_input(args.input), args.input, args.scan_n, args.trials, args.seed)
     write_report(report, args.report)

@@ -44,10 +44,11 @@ class GRState(NamedTuple):
     R: np.ndarray
 
 
-def gr_from_fh(f, h):
-    f = np.asarray(f, np.complex128)
-    h = np.asarray(h, np.complex128)
-    return GRState(f + h, f - h)
+def state(f, k):
+    """(G, R) of the fields ``f`` in the medium ``k``: R = f - h formed as the
+    correction, without h's rounding at ulp(|f|), which hides |K|^2; G = 2f - R."""
+    R = _correction(f, k)
+    return GRState(2.0 * f - R, R)
 
 
 def fh_from_gr(s):

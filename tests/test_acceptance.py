@@ -297,7 +297,7 @@ def test_criterion_09_discrete_duality():
         tv = nc.ThetaVectors(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3))
         k = nc.k_from_vectors(tv)
         f = ct.f_vector(E, B)
-        s = du.gr_from_fh(f, ct.h_from_f(f, k))
+        s = du.state(f, k)
         chis, res = du.duality_scan(s, k, 720)
         worst_zero = max(worst_zero, float(res[list(quarter_idx)].max()))
         worst_floor = min(worst_floor, checks.offgrid_min(chis, res))
@@ -305,7 +305,7 @@ def test_criterion_09_discrete_duality():
     assert worst_floor >= 1e-6
     # commutative limit: every grid point is invariant
     f = ct.f_vector(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3))
-    s0 = du.gr_from_fh(f, f.copy())
+    s0 = du.state(f, np.zeros(3))
     zero_worst = float(du.duality_scan(s0, np.zeros(3, complex), 720)[1].max())
     assert zero_worst <= 1e-12
     _passed(9, f"quarter-turn zeros {worst_zero:.2e}, off-axis floor "

@@ -369,7 +369,7 @@ def test_batched_dual_rotation_matches_per_angle_calls(kind):
     rng = np.random.default_rng(10)
     k = RAND_K[kind](rng)
     f = ct.f_vector(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3))
-    state = du.gr_from_fh(f, ct.h_from_f(f, k))
+    state = du.state(f, k)
     chis = np.append(np.arange(4) * np.pi / 2.0, rng.uniform(0.0, 2.0 * np.pi, 6))
     rotated, k_rot = du.dual_rotate(state, k, chis)
     rows = [du.dual_rotate(state, k, chi) for chi in chis]
@@ -389,7 +389,7 @@ def test_duality_scan_matches_rowwise_reference(kind):
     rng = np.random.default_rng(8)
     k = np.zeros(3, complex) if kind == "zero" else rand_nonisotropic_k(rng)
     f = ct.f_vector(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3))
-    state = du.gr_from_fh(f, ct.h_from_f(f, k))
+    state = du.state(f, k)
     n = 720
     chis, res = du.duality_scan(state, k, n)
     ref_chis = 2.0 * np.pi * np.arange(n) / n
@@ -404,7 +404,7 @@ def test_blocked_duality_scan_matches_whole_grid(kind):
     rng = np.random.default_rng(9)
     k = RAND_K[kind](rng)
     f = ct.f_vector(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3))
-    state = du.gr_from_fh(f, ct.h_from_f(f, k))
+    state = du.state(f, k)
     b = du.SCAN_BLOCK
     for n in (8, b - 1, b, b + 1, 2 * b + 1, 10_000):
         chis, res = du.duality_scan(state, k, n)
@@ -507,3 +507,42 @@ def test_nan_in_a_later_block_reaches_its_row(check, row, monkeypatch):
     assert calls[blocks - 1] == 3   # the last trial block; nonmember_residual calls stabilizes too
     assert np.isnan(report["small_group"][row])
     assert report["status"] == "fail"
+
+
+def nonmembers_at(monkeypatch, axes):
+    """Make ``sg.element`` return, in every row whose parameter is a key of
+    ``axes``, the rotation by 1 about that lab axis, which no K fixes."""
+    element = sg.element
+
+    def patched(d, w):
+        e = np.array(element(d, w))
+        if np.ndim(w) == 1:
+            for p, axis in axes.items():
+                e[np.asarray(w) == p] = lorentz.exp(0.5, np.eye(3)[axis])
+        return e
+
+    monkeypatch.setattr(sg, "element", patched)
+
+
+@pytest.mark.parametrize("kind", [nc.NONISOTROPIC, nc.ISOTROPIC])
+def test_noncommuting_pair_in_a_later_block_fails_abelian(kind, monkeypatch):
+    """Group-law trial 612, row 100 of the second block, draws a rotation
+    about x as p₁'s element and one about y as p₂'s: they do not commute."""
+    tv = rand_vectors(kind)
+    assert cli.analyze(tv, "in.yaml", scan_n=360, trials=1000, seed=42)["checks"]["abelian"]
+    p1, p2 = block_trials(1000, 42)[0][612]
+    nonmembers_at(monkeypatch, {p1: 0, p2: 1})
+    report = cli.analyze(tv, "in.yaml", scan_n=360, trials=1000, seed=42)
+    assert report["small_group"]["abelian_defect"] > 0.1
+    assert report["checks"]["abelian"] is False
+
+
+@pytest.mark.parametrize("kind", [nc.NONISOTROPIC, nc.ISOTROPIC])
+def test_nonmember_in_a_later_block_fails_invariance(kind, monkeypatch):
+    """Invariance trial 700, row 188 of the second block, draws a rotation
+    about x, which moves K."""
+    tv = rand_vectors(kind)
+    assert cli.analyze(tv, "in.yaml", scan_n=360, trials=1000, seed=42)["checks"]["invariance"]
+    nonmembers_at(monkeypatch, {block_trials(1000, 42)[1][700]: 0})
+    report = cli.analyze(tv, "in.yaml", scan_n=360, trials=1000, seed=42)
+    assert report["checks"]["invariance"] is False

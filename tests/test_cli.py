@@ -349,7 +349,7 @@ def test_scan_memory_bounded_at_the_cap(tmp_path):
     tv = vectors(KINDS[0])
     k = nc.k_from_vectors(tv)
     f = ct.f_vector([0.3, -0.2, 0.5], [0.1, 0.4, -0.6])
-    state = du.gr_from_fh(f, ct.h_from_f(f, k))
+    state = du.state(f, k)
     assert traced_peak(lambda: du.duality_scan(state, k, MAX_COUNT)) < SCAN_MEMORY
 
     def analyze_and_write():
@@ -410,21 +410,23 @@ def test_unwritable_output_exit_2(tmp_path, capsys, output, name):
 
 
 @pytest.mark.parametrize("report, csv", [("in.yaml", None), ("out.yaml", "in.yaml"),
-                                         ("out.yaml", "out.yaml"), ("alias.yaml", None)])
+                                         ("out.yaml", "out.yaml"), ("alias.yaml", None),
+                                         ("hard.yaml", None), ("out.yaml", "hard.yaml")])
 def test_output_naming_another_file_exit_2(tmp_path, capsys, monkeypatch, report, csv):
-    # relative names and a symbolic link, so that the three are compared as
-    # resolved absolute paths
+    # relative names, a symbolic link and a hard link, so that the three are
+    # compared as files, not as the strings given
     monkeypatch.chdir(tmp_path)
     text = b"epsilon: [0, 0, 0]\ntheta: [0, 0, 1]\n"
     (tmp_path / "in.yaml").write_bytes(text)
     (tmp_path / "alias.yaml").symlink_to("in.yaml")
+    (tmp_path / "hard.yaml").hardlink_to(tmp_path / "in.yaml")
     argv = ["analyze", "--input", str(tmp_path / "in.yaml"), "--report", report, "--trials", "5"]
     code = main(argv + (["--csv", csv] if csv else []))
     assert code == 2
     assert "input error: --input, --report and --csv must name different files" in \
         capsys.readouterr().err
     assert (tmp_path / "in.yaml").read_bytes() == text
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["alias.yaml", "in.yaml"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["alias.yaml", "hard.yaml", "in.yaml"]
 
 
 def test_negative_seed_exit_2(tmp_path, capsys):

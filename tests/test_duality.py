@@ -1,20 +1,30 @@
 """Dual rotations: discrete invariance of the constitutive pair."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from nced import constitutive as ct
 from nced import duality as du
 from nced import noncomm as nc
+from nced.cli import load_input
 from nced.errors import InconsistentInputError
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
 def consistent_state(rng):
     tv = nc.ThetaVectors(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3))
     k = nc.k_from_vectors(tv)
     f = ct.f_vector(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3))
-    h = ct.h_from_f(f, k)
-    return du.gr_from_fh(f, h), k
+    return du.state(f, k), k
+
+
+def golden_direction():
+    """The unit K of the golden nonisotropic input."""
+    k = nc.k_from_vectors(load_input(GOLDEN / "nonisotropic.yaml"))
+    return k / np.sqrt(np.sum(np.abs(k) ** 2))
 
 
 def grid_distance_to_quarter(chi):
@@ -25,7 +35,7 @@ def test_gr_roundtrip_exact():
     rng = np.random.default_rng(0)
     f = rng.normal(size=3) + 1j * rng.normal(size=3)
     h = rng.normal(size=3) + 1j * rng.normal(size=3)
-    s = du.gr_from_fh(f, h)
+    s = du.GRState(f + h, f - h)
     f2, h2 = du.fh_from_gr(s)
     assert np.max(np.abs(f2 - f)) <= 1e-15 * max(1.0, np.max(np.abs(f)))
     assert np.max(np.abs(h2 - h)) <= 1e-15 * max(1.0, np.max(np.abs(h)))
@@ -68,7 +78,7 @@ def test_residual_positive_on_inconsistent_states():
         k = nc.k_from_vectors(
             nc.ThetaVectors(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3))
         )
-        if du.constitutive_residual_gr(du.gr_from_fh(f, h), k) > 1e-3:
+        if du.constitutive_residual_gr(du.GRState(f + h, f - h), k) > 1e-3:
             hits += 1
     assert hits >= 48  # generic: essentially always
 
@@ -79,7 +89,7 @@ def test_scan_rejects_inconsistent_input():
     h = f + 0.5
     k = np.array([0.3, 0, 0], complex)
     with pytest.raises(InconsistentInputError):
-        du.duality_scan(du.gr_from_fh(f, h), k, 16)
+        du.duality_scan(du.GRState(f + h, f - h), k, 16)
 
 
 def test_scan_rejects_small_n():
@@ -123,7 +133,7 @@ def test_quarter_off_angle_positive():
     tv = nc.ThetaVectors(np.array([0.2, 0, 0]), np.array([0, 0, 0.3]))
     k = nc.k_from_vectors(tv)
     f = ct.f_vector(E, B)
-    s = du.gr_from_fh(f, ct.h_from_f(f, k))
+    s = du.state(f, k)
     rotated, k_rot = du.dual_rotate(s, k, np.pi / 4)
     assert du.constitutive_residual_gr(rotated, k_rot) > 1e-4
 
@@ -131,7 +141,7 @@ def test_quarter_off_angle_positive():
 def test_commutative_limit_restores_continuous_duality():
     rng = np.random.default_rng(9)
     f = ct.f_vector(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3))
-    s = du.gr_from_fh(f, f.copy())  # K = 0 forces h = f
+    s = du.state(f, np.zeros(3))
     _, res = du.duality_scan(s, np.zeros(3, complex), 720)
     assert res.max() <= 1e-12
 
@@ -145,7 +155,7 @@ def test_an_overflowed_orientation_makes_the_residual_nan():
     k = 1e120 * np.array([1.0, -1.0j, 0.0])
     f = ct.f_vector(du.GENERIC_E, du.GENERIC_B)
     with np.errstate(all="ignore"):
-        s = du.gr_from_fh(f, ct.h_from_f(f, k))
+        s = du.state(f, k)
         assert np.isnan(du.constitutive_residual_gr(s, k))
         assert np.isnan(du.constitutive_residual_gr(du.GRState(s.G, -s.R), k))
         # the forward orientation alone is finite
@@ -154,3 +164,34 @@ def test_an_overflowed_orientation_makes_the_residual_nan():
         with pytest.raises(InconsistentInputError, match=r"\(residual nan\)"):
             du.duality_scan(s, k, 360)
 
+
+@pytest.mark.parametrize("ratio, scans", [(0.5, True), (2.0, False)])
+def test_scan_precondition_bound(ratio, scans):
+    """The analyzer's state, with R moved off it so that the precondition
+    residual is ``ratio`` times 1e-10·max(1, |G|, |R|)² (the value of
+    CONSISTENCY_TOL, restated here): below the bound it scans, above it
+    raises."""
+    k = golden_direction()
+    s = du.state(ct.f_vector(du.GENERIC_E, du.GENERIC_B), k)
+    target = ratio * 1e-10 * max(1.0, np.max(np.abs(s.G)), np.max(np.abs(s.R))) ** 2
+    e = np.array([1.0, -0.5j, 0.25])
+    # the residual is linear in so small a step of R: one trial step sets its size
+    slope = du.constitutive_residual_gr(du.GRState(s.G, s.R + target * e), k) / target
+    moved = du.GRState(s.G, s.R + target / slope * e)
+    assert du.constitutive_residual_gr(moved, k) == pytest.approx(target, rel=1e-3)
+    if scans:
+        du.duality_scan(moved, k, 16)
+    else:
+        with pytest.raises(InconsistentInputError):
+            du.duality_scan(moved, k, 16)
+
+
+@pytest.mark.parametrize("size", [1.0, 1e-4, 1e-8, 1e-10, 1e-12, 1e-14])
+def test_state_peak_follows_k_squared(size):
+    """In the golden direction with the generic field pair, the scan's peak
+    over |K|² stays at 0.82 to 0.83 from |K| = 1e-4 down to 1e-14 (1.04 at
+    |K| = 1). A state formed as f ± h_from_f(f, K) carries h's rounding at
+    ulp(|f|): its ratio is 4.2e3 at |K| = 1e-10."""
+    k = size * golden_direction()
+    _, res = du.duality_scan(du.state(ct.f_vector(du.GENERIC_E, du.GENERIC_B), k), k, 360)
+    assert 0.8 <= res.max() / size ** 2 <= 1.1

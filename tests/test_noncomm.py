@@ -115,6 +115,18 @@ def test_classify_cases():
     assert nc.classify(np.zeros(3, complex)) == nc.ZERO
 
 
+@pytest.mark.parametrize("ratio, kind", [(0.5e-9, nc.ISOTROPIC), (2e-9, nc.NONISOTROPIC)])
+def test_classify_band_edge(ratio, kind):
+    """Near the isotropic cone: |ε| = 1 and θ ⟂ ε with θ² − ε² = r, so K·K = r
+    and |K|² = 2 + r. The class flips where |K·K|/|K|² = r/(2 + r) crosses
+    the relative bound 1e-9, restated here."""
+    r = 2.0 * ratio / (1.0 - ratio)
+    k = nc.k_from_vectors(nc.ThetaVectors(np.array([1.0, 0.0, 0.0]),
+                                          np.array([0.0, np.sqrt(1.0 + r), 0.0])))
+    assert abs(k @ k) / np.sum(np.abs(k) ** 2) == pytest.approx(ratio, rel=1e-5)
+    assert nc.classify(k) == kind
+
+
 def test_classify_invariant_under_action():
     rng = np.random.default_rng(4)
     for _ in range(50):
