@@ -3,9 +3,10 @@ its residual Lorentz group, reduce it to canonical form and scan the dual
 rotation, writing a structured YAML report (optionally a CSV of the scan).
 
 ``analyze`` builds one report in memory and opens no file, ``write_report``
-and ``write_csv`` write it, and ``run_analysis`` is load, analyze, write.
-perfbench's tracer wraps this module's functions by name and times the writes
-through the ``open`` they look up here, so all of them stay in this module.
+and ``write_csv`` write it through ``_write``, and ``run_analysis`` is load,
+analyze, write. perfbench's tracer wraps this module's functions by name and
+times the writes through the ``open`` that ``_write`` looks up here, so all of
+them stay in this module.
 
 Input file (YAML): either a 4x4 ``theta_matrix`` or a pair of 3-vectors
 ``epsilon`` / ``theta`` (mutually exclusive).
@@ -13,10 +14,11 @@ Input file (YAML): either a 4x4 ``theta_matrix`` or a pair of 3-vectors
 Exit codes: 0 all checks pass (or the zero-input note), 1 a physics check
 failed, 2 malformed input (including non-finite or boolean entries, an |K|^2
 that overflows a float, ``--trials`` or ``--scan-n`` above ``MAX_COUNT``, a
-negative ``--seed``, a ``--report`` or ``--csv`` path that cannot be written or
-that names the input or the other output, also by a symbolic or hard link, an
-input file that is not valid UTF-8 or UTF-16, an input nested too deeply for
-the parser, a top-level key other than the three above, and unknown options).
+negative ``--seed``, a ``--report`` or ``--csv`` path that cannot be opened,
+that fails while it is written (as on a full disk) or that names the input or
+the other output, also by a symbolic or hard link, an input file that is not
+valid UTF-8 or UTF-16, an input nested too deeply for the parser, a top-level
+key other than the three above, and unknown options).
 
 The sections below only compute report values; every pass bound of a report
 row lives in ``nced.checks``, whose docstring names the thresholds outside it.
@@ -27,6 +29,7 @@ import os
 import random
 import sys
 from datetime import datetime, timezone
+from itertools import chain, repeat, starmap
 
 # Loading numpy starts OpenBLAS's pool of nproc - 1 worker threads, about 70 ms
 # of a one-shot run, and nced makes no BLAS call (every dot is algebra.cdot's),
@@ -152,18 +155,11 @@ def _theta_vectors(doc):
 # analysis sections
 
 def _draws(rng, n, width):
-    """``n`` rows of ``width`` doubles from ``rng``, in blocks of at most
-    ``du.SCAN_BLOCK`` rows: the doubles that ``width`` ``random()`` calls per
-    row would return, in order.
-
-    ``randbytes`` draws each block's 32-bit words, which concatenate exactly
-    across calls of whole words, and each pair (a, b) is decoded as
-    ``random()`` decodes it: ((a >> 5)·2²⁶ + (b >> 6))·2⁻⁵³.
-    """
+    """``n`` rows of ``width`` doubles, each from one ``rng.random()`` call in
+    row order, in blocks of at most ``du.SCAN_BLOCK`` rows."""
     for start in range(0, n, du.SCAN_BLOCK):
-        rows = min(du.SCAN_BLOCK, n - start)
-        a, b = np.frombuffer(rng.randbytes(8 * width * rows), "<u4").reshape(-1, 2).T
-        yield (((a >> 5) * 2.0 ** 26 + (b >> 6)) * 2.0 ** -53).reshape(rows, width)
+        size = width * min(du.SCAN_BLOCK, n - start)
+        yield np.fromiter(starmap(rng.random, repeat((), size)), float, size).reshape(-1, width)
 
 
 def _parameter(u):
@@ -356,35 +352,33 @@ def analyze(tv, path, scan_n, trials, seed):
     return report
 
 
+def _write(path, what, parts):
+    """Write the strings ``parts`` to ``path``: the CLI's one open for
+    writing. An OSError, in the open or in a write, becomes InputFormatError."""
+    try:
+        with open(path, "w") as fh:
+            fh.writelines(parts)
+    except OSError as exc:
+        raise InputFormatError(f"cannot write {what}: {exc}") from exc
+
+
 def write_report(report, path):
     """Write ``report`` as YAML, in the bytes ``yaml.dump`` would write."""
     # PyYAML's representer builds one node per float, so the scan table is
     # written here, in the bytes it would write, in place of an empty one
     table = report["duality"]["table"]
     rest = {**report, "duality": {**report["duality"], "table": []}}
-    try:
-        with open(path, "w") as fh:
-            head, empty, tail = yaml.dump(
-                rest, Dumper=_DUMPER, sort_keys=False).rpartition("\n  table: []\n")
-            assert empty, "the dumped report has no empty duality table"
-            fh.write(head + "\n  table:\n")
-            for block in _blocks(table):
-                fh.write("".join(f"  - - {_yaml_float(chi)}\n    - {_yaml_float(r)}\n"
-                                 for chi, r in block.tolist()))
-            fh.write(tail)
-    except OSError as exc:
-        raise InputFormatError(f"cannot write report: {exc}") from exc
+    head, empty, tail = yaml.dump(
+        rest, Dumper=_DUMPER, sort_keys=False).rpartition("\n  table: []\n")
+    assert empty, "the dumped report has no empty duality table"
+    rows = ("".join(f"  - - {_yaml_float(chi)}\n    - {_yaml_float(r)}\n"
+                    for chi, r in block.tolist()) for block in _blocks(table))
+    _write(path, "report", chain([head + "\n  table:\n"], rows, [tail]))
 
 
 def write_csv(table, path):
     """Write the scan ``table`` as ``chi,residual`` rows."""
-    try:
-        with open(path, "w") as fh:
-            fh.write("chi,residual\n")
-            for block in _blocks(table):
-                fh.write(_csv_rows(block))
-    except OSError as exc:
-        raise InputFormatError(f"cannot write CSV: {exc}") from exc
+    _write(path, "CSV", chain(["chi,residual\n"], map(_csv_rows, _blocks(table))))
 
 
 def run_analysis(args):

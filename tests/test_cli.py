@@ -13,8 +13,8 @@ import pytest
 import yaml
 
 import nced.cli
-from nced.cli import (MAX_COUNT, _csv_rows, _yaml_float, analyze, load_input, main, write_csv,
-                      write_report)
+from nced.cli import (MAX_COUNT, _DUMPER, _csv_rows, _yaml_float, analyze, load_input, main,
+                      write_csv, write_report)
 from nced import constitutive as ct
 from nced import duality as du
 from nced import lorentz
@@ -394,19 +394,34 @@ def test_yaml_float_matches_pyyaml():
                1.2345678901234568e+17, float("nan"), float("inf"), float("-inf")]
     bits = np.random.default_rng(0).integers(0, 2**64, size=100_000, dtype=np.uint64)
     values = special + bits.view(np.float64).tolist()
-    expected = yaml.dump(values, Dumper=yaml.SafeDumper).splitlines()
+    # the writer's own dumper: libyaml's emitter with SafeRepresenter.represent_float
+    expected = yaml.dump(values, Dumper=_DUMPER).splitlines()
     assert [f"- {_yaml_float(x)}" for x in values] == expected
 
 
-@pytest.mark.parametrize("output, name", [("report", "report"), ("csv", "CSV")])
-def test_unwritable_output_exit_2(tmp_path, capsys, output, name):
+NEEDS_DEV_FULL = pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full")
+
+
+# a path in a missing directory fails in open; /dev/full fails in a write
+@pytest.mark.parametrize("output, name, target", [
+    pytest.param("report", "report", None, id="report-report"),
+    pytest.param("csv", "CSV", None, id="csv-CSV"),
+    pytest.param("report", "report", "/dev/full", id="report-full", marks=NEEDS_DEV_FULL),
+    pytest.param("csv", "CSV", "/dev/full", id="csv-full", marks=NEEDS_DEV_FULL)])
+def test_unwritable_output_exit_2(tmp_path, capsys, output, name, target):
     inp = write_input(tmp_path / "in.yaml", "epsilon: [0, 0, 0]\ntheta: [0, 0, 1]\n")
     paths = {"report": str(tmp_path / "r.yaml"), "csv": str(tmp_path / "s.csv")}
-    paths[output] = str(tmp_path / "missing" / "out")
+    paths[output] = target or str(tmp_path / "missing" / "out")
     code = main(["analyze", "--input", inp, "--report", paths["report"],
                  "--csv", paths["csv"], "--trials", "5"])
     assert code == 2
-    assert f"input error: cannot write {name}:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"input error: cannot write {name}:" in err
+    if target:
+        assert "[Errno 28] No space left on device" in err
+    if output == "report":
+        # the report is written first, so a report that fails leaves no CSV
+        assert not (tmp_path / "s.csv").exists()
 
 
 @pytest.mark.parametrize("report, csv", [("in.yaml", None), ("out.yaml", "in.yaml"),
