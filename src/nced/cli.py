@@ -12,7 +12,8 @@ Input file (YAML): either a 4x4 ``theta_matrix`` or a pair of 3-vectors
 ``epsilon`` / ``theta`` (mutually exclusive).
 
 Exit codes: 0 all checks pass (or the zero-input note), 1 a physics check
-failed, 2 malformed input (including non-finite or boolean entries, an |K|^2
+failed (the report's status is ``fail``; every exit 1 writes the report),
+2 malformed input (including non-finite or boolean entries, an |K|^2
 that overflows a float, ``--trials`` or ``--scan-n`` above ``MAX_COUNT``, a
 negative ``--seed``, a ``--report`` or ``--csv`` path that cannot be opened,
 that fails while it is written (as on a full disk) or that names the input or
@@ -51,7 +52,7 @@ from . import lorentz
 from . import noncomm as nc
 from . import smallgroup as sg
 from .algebra import cabs, cdot, mul
-from .errors import InputFormatError, NcedError
+from .errors import InputFormatError
 
 # bounds the time of a report: the trial checks hold one block of
 # du.SCAN_BLOCK trials, and the scan about 32 B per angle (its angles,
@@ -296,7 +297,7 @@ def analyze(tv, path, scan_n, trials, seed):
     no file is read or written, and ``path`` is only echoed as
     ``input.path``. A count out of range or a negative seed raises
     InputFormatError. numpy's floating-point warnings are off: a NaN or inf
-    value fails its row of ``checks``, or the duality scan rejects its state.
+    value fails its row of ``checks``.
 
     ``duality.table`` is the ``(scan_n, 2)`` float array of ``[chi,
     residual]`` rows, not a list; every other value is a plain Python value.
@@ -430,9 +431,6 @@ def main(argv=None):
     except InputFormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except NcedError as exc:
-        print(f"analysis error: {exc}", file=sys.stderr)
-        return 1
     n_pass = sum(report["checks"].values())
     print(f"{report['status']}: {report['classification']}; "
           f"checks {n_pass}/{len(report['checks'])}; report {args.report}")

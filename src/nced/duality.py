@@ -22,16 +22,11 @@ import numpy as np
 
 from .algebra import _cmul, cabs
 from .constitutive import _correction
-from .errors import InconsistentInputError
 
 # rows evaluated at once, of the scan and of cli's small-group trials: a
 # scan row holds about 500 B of temporaries, so a block bounds the scan's
 # working memory at about 0.25 MiB, and a trial block's at about 0.5 MiB
 SCAN_BLOCK = 512
-
-# a scanned state must meet the constitutive pair to this bound, times
-# max(1, |G|, |R|)^2
-CONSISTENCY_TOL = 1e-10
 
 # A generic field pair (E, B), the analyzer's duality state: no component is
 # zero, E·B ≠ 0 and E² ≠ B², so neither f·f nor any component of f vanishes.
@@ -81,20 +76,11 @@ def constitutive_residual_gr(s, k):
 def duality_scan(s, k, n):
     """Residual after dual rotation on the uniform angle grid 2 pi j / n;
     returns the arrays ``(chis, residuals)``, evaluated ``SCAN_BLOCK``
-    angles at a time.
-
-    The input state must satisfy the constitutive pair before rotation;
-    otherwise InconsistentInputError is raised.
+    angles at a time. The residual at chi = 0 is the state's own defect,
+    which the report's ``duality_zeros`` row bounds.
     """
     if n < 8:
         raise ValueError("scan resolution n must be at least 8")
-    pre = constitutive_residual_gr(s, k)
-    scale = max(1.0, float(np.max(cabs(s.G))), float(np.max(cabs(s.R)))) ** 2
-    # not ``pre > bound``, which a NaN residual passes
-    if not pre <= CONSISTENCY_TOL * scale:
-        raise InconsistentInputError(
-            f"state violates the constitutive pair before rotation (residual {pre:.3e})"
-        )
     chis = 2.0 * np.pi * np.arange(n) / n
     residuals = np.empty(n)
     # every step is elementwise or a reduction within a row, so a block gives

@@ -9,10 +9,6 @@ class ZeroKError(NcedError):
     """Noncommutativity vector is zero: the stabilizer is the full group."""
 
 
-class InconsistentInputError(NcedError):
-    """Field state does not satisfy the constitutive relations."""
-
-
 class InputFormatError(NcedError):
     """Analysis input file is malformed."""
 

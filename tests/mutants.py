@@ -79,8 +79,10 @@ MUTANTS = [
     Mutant("residual-fmin", "duality.py", "return np.minimum(d1, d2)[()]",
            "return np.fmin(d1, d2)[()]",
            "a NaN orientation defect makes the duality residual NaN"),
-    Mutant("consistency-tol", "duality.py", "CONSISTENCY_TOL = 1e-10", "CONSISTENCY_TOL = 1e-7",
-           "the scan rejects a state 1000x nearer the constitutive pair"),
+    Mutant("state-off-pair", "duality.py", "return GRState(2.0 * f - R, R)",
+           "return GRState(2.0 * f - R, R * (1 + 1e-9))",
+           "the analyzer's duality state satisfies the constitutive pair, and a state off it "
+           "fails duality_zeros"),
     # the canonical form
     Mutant("canonical-flip-inverted", "smallgroup.py",
            "flip = cabs(cdot(c_flip, c_flip)) > cabs(cdot(c, c))",

@@ -13,7 +13,6 @@ from nced import checks
 from nced import noncomm as nc
 from nced import smallgroup as sg
 from nced.cli import analyze
-from nced.errors import InconsistentInputError
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 REPORTS = sorted(GOLDEN.glob("*.report.yaml"))
@@ -109,15 +108,27 @@ def test_nan_value_fails_its_row(kind):
     assert (got["duality_zeros"], got["duality_discrete"]) == (False, False)
 
 
-def huge_isotropic_report(m):
-    """The report of an isotropic K of size ``m``, in a fixed random direction."""
+def huge_vectors(kind, m):
+    """Noncommutativity vectors of size ``m`` in a fixed random direction: an
+    isotropic K with |theta| = |epsilon| = m, or a nonisotropic one with
+    |K| = m."""
+    if kind == nc.NONISOTROPIC:
+        rng = np.random.default_rng(4)
+        eps, theta = rng.normal(size=3), rng.normal(size=3)
+        size = np.sqrt(np.sum(eps ** 2 + theta ** 2))
+        return nc.ThetaVectors(m * (eps / size), m * (theta / size))
     rng = np.random.default_rng(3)
     p = rng.normal(size=3)
     p /= np.linalg.norm(p)
     q = rng.normal(size=3)
     q -= (q @ p) * p
     q /= np.linalg.norm(q)
-    report = analyze(nc.ThetaVectors(m * q, m * p), "in.yaml", scan_n=360, trials=100, seed=42)
+    return nc.ThetaVectors(m * q, m * p)
+
+
+def huge_isotropic_report(m):
+    """The report of an isotropic K of size ``m``, in a fixed random direction."""
+    report = analyze(huge_vectors(nc.ISOTROPIC, m), "in.yaml", scan_n=360, trials=100, seed=42)
     assert report["classification"] == nc.ISOTROPIC
     return report
 
@@ -134,11 +145,21 @@ def test_huge_isotropic_invariance_residual_stays_finite():
 
 def test_overflowing_duality_residuals_fail():
     """At |K| = 1e140 every component of the duality defect overflows, so the
-    duality state's own residual is NaN and the scan rejects the state: no
-    report carries NaN duality values. A maximum that skipped NaN would make
-    each residual 0.0, the commutative limit, and the state would pass."""
-    with pytest.raises(InconsistentInputError, match=r"\(residual nan\)"):
-        huge_isotropic_report(1e140)
+    duality state's own residual is NaN, and so is every scan residual: both
+    duality rows fail. A maximum that skipped NaN would make each residual
+    0.0, the commutative limit, and the rows would pass."""
+    report = huge_isotropic_report(1e140)
+    assert np.all(np.isnan(report["duality"]["quarter_turn_residuals"]))
+    got = report["checks"]
+    assert (got["duality_zeros"], got["duality_discrete"]) == (False, False)
+
+
+def test_offgrid_min_keeps_away_from_the_quarter_turns():
+    # 3 degrees lies within pi/36 (5 degrees) of chi = 0, 7 degrees does not
+    chis = 2.0 * np.pi * np.arange(360) / 360
+    residuals = np.ones(360)
+    residuals[3], residuals[7] = 0.25, 0.5
+    assert checks.offgrid_min(chis, residuals) == 0.5
 
 
 def test_zero_report_gets_only_duality_rows():

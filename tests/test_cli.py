@@ -22,6 +22,8 @@ from nced import noncomm as nc
 from nced import smallgroup as sg
 from nced.errors import InputFormatError
 
+from test_checks import huge_vectors
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -451,23 +453,42 @@ def test_negative_seed_exit_2(tmp_path, capsys):
     assert not rep.exists()
 
 
-def test_nan_duality_state_exits_1_without_a_report(tmp_path, capsys):
-    # K = 1e120·(1, −i, 0): the duality state's residual overflows to NaN,
-    # and the scan rejects the state before any report is written. The
+def test_nan_duality_state_exits_1_with_a_report(tmp_path, capsys):
+    # K = 1e120·(1, −i, 0): the duality state's residual overflows to NaN, so
+    # both duality rows fail, and the run writes its report and exits 1. The
     # overflows raise no numpy warning, in process (where the suite makes
     # warnings errors) or on a process's stderr
     text = "epsilon: [0.0, 1.0e120, 0.0]\ntheta: [1.0e120, 0.0, 0.0]\n"
     code, rep = run(tmp_path, text)
     assert code == 1
-    assert not rep.exists()
     out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("analysis error: state violates the constitutive pair")
-    assert err.count("\n") == 1
-    argv = ["analyze", "--input", str(tmp_path / "in.yaml"), "--report", str(rep)]
+    assert out.startswith("fail: isotropic;")
+    assert err == ""
+    report = yaml.safe_load(rep.read_text())
+    got, dual = report["checks"], report["duality"]
+    assert (got["duality_zeros"], got["duality_discrete"]) == (False, False)
+    assert np.all(np.isnan([*dual["quarter_turn_residuals"], dual["peak_residual"],
+                            dual["offgrid_min_residual"]]))
+    argv = ["analyze", "--input", str(tmp_path / "in.yaml"), "--report", str(rep),
+            "--trials", "20", "--scan-n", "360", "--seed", "42"]
     proc = subprocess.run([sys.executable, "-m", "nced", *argv], capture_output=True, text=True,
                           timeout=120)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", err)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, out, err)
+
+
+@pytest.mark.parametrize("m", [1e100, 1e104, 1e120, 1e152])
+@pytest.mark.parametrize("kind", [nc.NONISOTROPIC, nc.ISOTROPIC])
+def test_exit_code_is_the_report_status(tmp_path, capsys, kind, m):
+    # the exit-code contract up to |K| = 1e152, where |K|^2 is still finite:
+    # every run writes its report, and exits 0 exactly when it passes
+    tv = huge_vectors(kind, m)
+    code, rep = run(tmp_path, yaml.safe_dump({"epsilon": tv.epsilon.tolist(),
+                                              "theta": tv.theta.tolist()}))
+    status = yaml.safe_load(rep.read_text())["status"]
+    assert (status, code) in [("pass", 0), ("fail", 1)]
+    out, err = capsys.readouterr()
+    assert out.startswith(f"{status}: {kind};")
+    assert err == ""
 
 
 def test_failed_factorization_writes_a_report(tmp_path, capsys, monkeypatch):

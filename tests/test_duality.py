@@ -4,12 +4,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from nced import constitutive as ct
 from nced import duality as du
 from nced import noncomm as nc
-from nced.cli import load_input
-from nced.errors import InconsistentInputError
+from nced.cli import load_input, main
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -83,13 +83,18 @@ def test_residual_positive_on_inconsistent_states():
     assert hits >= 48  # generic: essentially always
 
 
-def test_scan_rejects_inconsistent_input():
+def test_scan_of_inconsistent_input_starts_at_its_defect():
+    # the scan checks no precondition: its residual at chi = 0 is the
+    # state's own defect, bit for bit, which the report's duality_zeros bounds
     rng = np.random.default_rng(4)
     f = ct.f_vector(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3))
     h = f + 0.5
     k = np.array([0.3, 0, 0], complex)
-    with pytest.raises(InconsistentInputError):
-        du.duality_scan(du.GRState(f + h, f - h), k, 16)
+    s = du.GRState(f + h, f - h)
+    _, res = du.duality_scan(s, k, 16)
+    pre = du.constitutive_residual_gr(s, k)
+    assert pre > 1e-3
+    assert res[0].tobytes() == np.float64(pre).tobytes()
 
 
 def test_scan_rejects_small_n():
@@ -150,8 +155,8 @@ def test_an_overflowed_orientation_makes_the_residual_nan():
     """At K = 1e120·(1, −i, 0) the inverse orientation of the analyzer's state
     overflows to a NaN component while the forward one stays finite. The
     residual is NaN, not the finite orientation's defect; swapping the
-    orientations (R → −R swaps f and h) gives NaN too. No bound passes a NaN
-    residual, so the scan rejects the state."""
+    orientations (R → −R swaps f and h) gives NaN too, and so does every
+    residual of the scan, which no bound of the report passes."""
     k = 1e120 * np.array([1.0, -1.0j, 0.0])
     f = ct.f_vector(du.GENERIC_E, du.GENERIC_B)
     with np.errstate(all="ignore"):
@@ -161,29 +166,43 @@ def test_an_overflowed_orientation_makes_the_residual_nan():
         # the forward orientation alone is finite
         f_, h_ = du.fh_from_gr(s)
         assert np.all(np.isfinite(ct.h_from_f(f_, k) - h_))
-        with pytest.raises(InconsistentInputError, match=r"\(residual nan\)"):
-            du.duality_scan(s, k, 360)
+        _, res = du.duality_scan(s, k, 360)
+        assert np.all(np.isnan(res))
 
 
-@pytest.mark.parametrize("ratio, scans", [(0.5, True), (2.0, False)])
-def test_scan_precondition_bound(ratio, scans):
-    """The analyzer's state, with R moved off it so that the precondition
-    residual is ``ratio`` times 1e-10·max(1, |G|, |R|)² (the value of
-    CONSISTENCY_TOL, restated here): below the bound it scans, above it
-    raises."""
-    k = golden_direction()
-    s = du.state(ct.f_vector(du.GENERIC_E, du.GENERIC_B), k)
-    target = ratio * 1e-10 * max(1.0, np.max(np.abs(s.G)), np.max(np.abs(s.R))) ** 2
+@pytest.mark.parametrize("ratio, passes", [(0.5, True), (2.0, False)])
+def test_duality_state_off_the_pair_fails_duality_zeros(tmp_path, capsys, monkeypatch, ratio,
+                                                          passes):
+    """The negative control of the duality state: the analyzer's state at
+    |K| = 1 in the golden direction, with R moved off it so that the residual
+    at chi = 0 is ``ratio`` times the duality_zeros bound 1e-11·max(1, peak)
+    (restated here), about 1.04e-11. Below the bound the report passes; above
+    it the row fails, and the run writes its report and exits 1."""
+    tv = load_input(GOLDEN / "nonisotropic.yaml")
+    size = np.sqrt(np.sum(tv.epsilon ** 2 + tv.theta ** 2))
+    inp, rep = tmp_path / "in.yaml", tmp_path / "report.yaml"
+    inp.write_text(yaml.safe_dump({"epsilon": (tv.epsilon / size).tolist(),
+                                   "theta": (tv.theta / size).tolist()}))
+    state = du.state
     e = np.array([1.0, -0.5j, 0.25])
-    # the residual is linear in so small a step of R: one trial step sets its size
-    slope = du.constitutive_residual_gr(du.GRState(s.G, s.R + target * e), k) / target
-    moved = du.GRState(s.G, s.R + target / slope * e)
-    assert du.constitutive_residual_gr(moved, k) == pytest.approx(target, rel=1e-3)
-    if scans:
-        du.duality_scan(moved, k, 16)
-    else:
-        with pytest.raises(InconsistentInputError):
-            du.duality_scan(moved, k, 16)
+
+    def moved(f, k):
+        s = state(f, k)
+        target = ratio * 1e-11 * max(1.0, du.duality_scan(s, k, 360)[1].max())
+        # the residual is linear in so small a step of R: one trial step sets its size
+        slope = du.constitutive_residual_gr(du.GRState(s.G, s.R + target * e), k) / target
+        return du.GRState(s.G, s.R + target / slope * e)
+
+    monkeypatch.setattr(du, "state", moved)
+    code = main(["analyze", "--input", str(inp), "--report", str(rep)])
+    report = yaml.safe_load(rep.read_text())
+    dual = report["duality"]
+    bound = 1e-11 * max(1.0, dual["peak_residual"])
+    assert dual["quarter_turn_residuals"][0] == pytest.approx(ratio * bound, rel=1e-3)
+    assert [c for c, ok in report["checks"].items() if not ok] == ([] if passes
+                                                                   else ["duality_zeros"])
+    assert code == (0 if passes else 1)
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("size", [1.0, 1e-4, 1e-8, 1e-10, 1e-12, 1e-14])
